@@ -37,12 +37,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/cluster/auditor.h"
 #include "src/cluster/cluster.h"
-#include "src/cluster/federated_source.h"
 #include "src/cluster/tamper.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
 
 namespace {
@@ -52,7 +50,6 @@ using pass::cluster::AuditReport;
 using pass::cluster::Auditor;
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
-using pass::cluster::FederatedSource;
 using pass::cluster::TamperClass;
 using pass::cluster::TamperClassName;
 using pass::cluster::TamperFs;
@@ -99,36 +96,11 @@ void BuildWorkload(ClusterCoordinator* cluster, int files,
   }
 }
 
-std::vector<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::vector<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.push_back(line);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 bool FederatedMatchesMerged(ClusterCoordinator* cluster, int files) {
   const std::string query =
       "select Ancestor from Provenance.file as F F.input* as Ancestor "
       "where F.name = \"/f" + std::to_string(files - 1) + "\"";
-  FederatedSource federated = cluster->Source(/*portal_shard=*/0);
-  pass::pql::Engine federated_engine(&federated);
-  auto federated_result = federated_engine.Run(query);
-  PASS_CHECK(federated_result.ok());
-  pass::waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pass::pql::ProvDbSource merged_source(&merged);
-  pass::pql::Engine merged_engine(&merged_source);
-  auto merged_result = merged_engine.Run(query);
-  PASS_CHECK(merged_result.ok());
-  return !federated_result->rows.empty() &&
-         Rows(*federated_result) == Rows(*merged_result);
+  return pass::bench::MatchesNonEmpty(*cluster, query);
 }
 
 TamperClass ExpectedClass(TamperKind kind) {

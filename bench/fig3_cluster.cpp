@@ -4,8 +4,12 @@
 // distributed-lineage workload, reporting replication round trips, bytes,
 // and elapsed virtual time — the batching-vs-RTT tradeoff — then verifies
 // that a federated ancestry query equals the merged single-database run.
+//
+// Each Sync() is followed by Quiesce(), so sync_s covers the journal write,
+// every round trip, and every remote apply: the cost a caller pays when it
+// waits for replication to finish. bench/fig8_pipeline_ingest measures what
+// not waiting buys.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -13,7 +17,6 @@
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
 #include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
 
 namespace {
@@ -40,29 +43,10 @@ struct RunResult {
   bool federated_matches_merged = false;
 };
 
-// Render a result as a sorted bag of row strings for comparison.
-std::vector<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::vector<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.push_back(line);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 RunResult Run(int shards, size_t batch_records) {
   ClusterOptions options;
   options.shards = shards;
   options.ingest_batch_records = batch_records;
-  // This figure isolates the batching-vs-RTT tradeoff, so replication
-  // drains synchronously; bench/fig8_pipeline_ingest sweeps the pipelined
-  // mode against this shape.
-  options.pipelined_replication = false;
   ClusterCoordinator cluster(options);
 
   // Identical workload at every configuration: a lineage chain hopping
@@ -84,6 +68,7 @@ RunResult Run(int shards, size_t batch_records) {
   RunResult out;
   double before = cluster.env().clock().seconds();
   PASS_CHECK(cluster.Sync().ok());
+  cluster.Quiesce();
   out.sync_seconds = cluster.env().clock().seconds() - before;
   out.recovered = cluster.entries_recovered();
   out.records_per_sec =
@@ -104,21 +89,15 @@ RunResult Run(int shards, size_t batch_records) {
   auto federated_result = federated_engine.Run(query);
   PASS_CHECK(federated_result.ok());
 
-  pass::waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pass::pql::ProvDbSource merged_source(&merged);
-  pass::pql::Engine merged_engine(&merged_source);
-  auto merged_result = merged_engine.Run(query);
-  PASS_CHECK(merged_result.ok());
-
   out.query_rows = federated_result->rows.size();
   out.query_remote_ops = federated.stats().remote_ops;
   out.query_req_bytes = federated.stats().remote_request_bytes;
   out.query_resp_bytes = federated.stats().remote_response_bytes;
   out.query_local_bytes = federated.stats().local_bytes;
   out.query_cache_hits = federated.stats().cache_hits;
-  out.federated_matches_merged =
-      Rows(*federated_result) == Rows(*merged_result);
+  auto merged = pass::cluster::MergedRows(cluster, query);
+  PASS_CHECK(merged.ok());
+  out.federated_matches_merged = federated_result->SortedRows() == *merged;
   return out;
 }
 

@@ -20,16 +20,13 @@
 //   csv,recovery_summary,files,sync_points,migration_points,
 //       batches_redelivered,entries_reapplied,rolled_forward,aborted,match
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/cluster/cluster.h"
-#include "src/cluster/federated_source.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
 
 namespace {
@@ -37,7 +34,6 @@ namespace {
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
 using pass::cluster::ClusterRecoveryReport;
-using pass::cluster::FederatedSource;
 
 constexpr int kShards = 3;
 
@@ -64,37 +60,6 @@ void RunWorkload(ClusterCoordinator* cluster, int files) {
   }
 }
 
-std::vector<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::vector<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.push_back(line);
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-bool FederatedMatchesMerged(ClusterCoordinator* cluster,
-                            const std::string& query) {
-  FederatedSource federated = cluster->Source(/*portal_shard=*/0);
-  pass::pql::Engine federated_engine(&federated);
-  auto federated_result = federated_engine.Run(query);
-  PASS_CHECK(federated_result.ok());
-
-  pass::waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pass::pql::ProvDbSource merged_source(&merged);
-  pass::pql::Engine merged_engine(&merged_source);
-  auto merged_result = merged_engine.Run(query);
-  PASS_CHECK(merged_result.ok());
-  return !federated_result->rows.empty() &&
-         Rows(*federated_result) == Rows(*merged_result);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -118,7 +83,7 @@ int main(int argc, char** argv) {
     uint64_t before = clean.env().crash_points_passed();
     PASS_CHECK(clean.Sync().ok());
     sync_points = clean.env().crash_points_passed() - before;
-    PASS_CHECK(FederatedMatchesMerged(&clean, query));
+    PASS_CHECK(pass::bench::MatchesNonEmpty(clean, query));
   }
   std::printf("sync: %llu crash points\n",
               (unsigned long long)sync_points);
@@ -133,7 +98,7 @@ int main(int argc, char** argv) {
     PASS_CHECK(!cluster.Sync().ok());  // the crash fired
     auto recovery = cluster.Recover();
     PASS_CHECK(recovery.ok());
-    bool match = FederatedMatchesMerged(&cluster, query);
+    bool match = pass::bench::MatchesNonEmpty(cluster, query);
     all_match = all_match && match;
     total_batches += recovery->batches_redelivered;
     total_entries += recovery->entries_reapplied;
@@ -165,7 +130,7 @@ int main(int argc, char** argv) {
     uint64_t before = clean.env().crash_points_passed();
     PASS_CHECK(clean.MigrateRange(range, 2).ok());
     migration_points = clean.env().crash_points_passed() - before;
-    PASS_CHECK(FederatedMatchesMerged(&clean, query));
+    PASS_CHECK(pass::bench::MatchesNonEmpty(clean, query));
   }
   std::printf("\nmigration of shard 0's range to shard 2: %llu crash "
               "points\n",
@@ -187,7 +152,7 @@ int main(int argc, char** argv) {
     uint64_t rows_dst = cluster.shard_db(2).RowsInRange(range.begin,
                                                         range.end);
     PASS_CHECK(rows_src == 0 || rows_dst == 0);  // never on two shards
-    bool match = FederatedMatchesMerged(&cluster, query);
+    bool match = pass::bench::MatchesNonEmpty(cluster, query);
     all_match = all_match && match;
     const char* outcome =
         recovery->migrations_rolled_forward > 0

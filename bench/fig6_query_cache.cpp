@@ -14,15 +14,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/cluster/cluster.h"
-#include "src/core/libpass.h"
 #include "src/cluster/federated_source.h"
+#include "src/core/libpass.h"
 #include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
 
 namespace {
@@ -83,19 +82,6 @@ class PerNodeAdapter : public pass::pql::GraphSource {
   const pass::pql::GraphSource* inner_;
 };
 
-std::multiset<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::multiset<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.insert(line);
-  }
-  return rows;
-}
-
 struct RunResult {
   uint64_t rpc = 0;
   uint64_t req_bytes = 0;
@@ -143,14 +129,9 @@ struct Fixture {
         "select Ancestor from Provenance.file as F F.input* as Ancestor "
         "where F.name = \"/f" +
         std::to_string(depth - 1) + "\"";
-
-    pass::waldo::ProvDb merged;
-    cluster->MergeInto(&merged);
-    pass::pql::ProvDbSource merged_source(&merged);
-    pass::pql::Engine merged_engine(&merged_source);
-    auto merged_result = merged_engine.Run(query);
-    PASS_CHECK(merged_result.ok());
-    want = Rows(*merged_result);
+    auto merged = pass::cluster::MergedRows(*cluster, query);
+    PASS_CHECK(merged.ok());
+    want = *merged;
   }
 
   RunResult Query(size_t cache_bytes, bool per_node) {
@@ -172,14 +153,14 @@ struct Fixture {
     out.misses = federated.stats().cache_misses;
     out.evictions = federated.stats().cache_evictions;
     out.rows = result->rows.size();
-    out.matches_merged = Rows(*result) == want;
+    out.matches_merged = result->SortedRows() == want;
     // Phase boundary: zero the counters (the cache keeps its contents) and
     // run the identical query again — the warm numbers are the second
     // pass's alone, not a delta against cumulative totals.
     federated.ResetStats();
     auto warm = engine.Run(query);
     PASS_CHECK(warm.ok());
-    PASS_CHECK(Rows(*warm) == Rows(*result));
+    PASS_CHECK(warm->SortedRows() == result->SortedRows());
     out.warm_rpc = federated.stats().remote_ops;
     out.warm_hits = federated.stats().cache_hits;
     return out;
@@ -187,7 +168,7 @@ struct Fixture {
 
   std::unique_ptr<ClusterCoordinator> cluster;
   std::string query;
-  std::multiset<std::string> want;
+  std::vector<std::string> want;
 };
 
 struct ChurnResult {
@@ -210,8 +191,8 @@ struct ChurnResult {
 // only absorbs ingest (new provenance rows on one /churn file) between
 // query rounds.
 // Two identically warmed portals answer each round — one with per-entry
-// fingerprint invalidation, one in the legacy whole-cache-flush mode — and
-// the accumulated misses measure how much of the cache each keeps.
+// fingerprint invalidation, one a whole-cache-flush FlushBaseline — and the
+// accumulated misses measure how much of the cache each keeps.
 ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
                           int rounds) {
   Fixture fixture(shards, depth, /*spread=*/shards - 1);
@@ -230,18 +211,15 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
 
   FederatedSource fine = fixture.cluster->Source(/*portal_shard=*/0,
                                                  cache_bytes);
-  FederatedSource flush = fixture.cluster->Source(/*portal_shard=*/0,
-                                                  cache_bytes);
-  flush.set_whole_cache_invalidation(true);
+  pass::bench::FlushBaseline flush(fixture.cluster.get(), cache_bytes);
   pass::pql::Engine fine_engine(&fine);
-  pass::pql::Engine flush_engine(&flush);
 
   ChurnResult out;
   auto warm = fine_engine.Run(fixture.query);
   PASS_CHECK(warm.ok());
-  PASS_CHECK(Rows(*warm) == fixture.want);
+  PASS_CHECK(warm->SortedRows() == fixture.want);
   out.entries_total = fine.stats().cache_misses - fine.stats().cache_evictions;
-  PASS_CHECK(flush_engine.Run(fixture.query).ok());
+  PASS_CHECK(flush.Run(fixture.query).ok());
   fine.ResetStats();
   flush.ResetStats();
 
@@ -260,19 +238,19 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
     }
     PASS_CHECK(fixture.cluster->Sync().ok());
     auto fine_result = fine_engine.Run(fixture.query);
-    auto flush_result = flush_engine.Run(fixture.query);
+    auto flush_result = flush.Run(fixture.query);
     PASS_CHECK(fine_result.ok() && flush_result.ok());
     out.matches_merged = out.matches_merged &&
-                         Rows(*fine_result) == fixture.want &&
-                         Rows(*flush_result) == fixture.want;
+                         fine_result->SortedRows() == fixture.want &&
+                         flush_result->SortedRows() == fixture.want;
   }
   out.fine_hits = fine.stats().cache_hits;
   out.fine_misses = fine.stats().cache_misses;
   out.fine_invalidated = fine.stats().cache_entries_invalidated;
   out.fine_full = fine.stats().cache_invalidations_full;
-  out.flush_hits = flush.stats().cache_hits;
-  out.flush_misses = flush.stats().cache_misses;
-  out.flush_full = flush.stats().cache_invalidations_full;
+  out.flush_hits = flush.hits();
+  out.flush_misses = flush.misses();
+  out.flush_full = flush.full_flushes();
   return out;
 }
 
@@ -382,8 +360,8 @@ int main(int argc, char** argv) {
                       churn.matches_merged ? "yes" : "no");
         csv += line;
         // Fine-grained invalidation never full-flushes on churn and drops
-        // only the churn file's own entries; the legacy mode re-fetches the
-        // world every round. Deep configurations gate the miss reduction.
+        // only the churn file's own entries; the flush baseline re-fetches
+        // the world every round. Deep configurations gate the miss reduction.
         PASS_CHECK(churn.fine_full == 0);
         PASS_CHECK(churn.flush_full > 0);
         if (depth >= 48) {

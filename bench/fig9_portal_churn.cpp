@@ -27,23 +27,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/portal.h"
 #include "src/core/libpass.h"
 #include "src/obs/stats_bridge.h"
-#include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 #include "src/util/logging.h"
 
 namespace {
 
 using pass::cluster::ClusterCoordinator;
 using pass::cluster::ClusterOptions;
-using pass::cluster::FederatedSource;
 using pass::cluster::PortalHandle;
 using pass::cluster::PortalSession;
 using pass::cluster::PortalSessionOptions;
@@ -57,19 +54,6 @@ constexpr double kChurnMissReductionGate = 5.0;
 
 constexpr int kShards = 4;       // chain on 0..2, shard 3 is the churn sink
 constexpr int kChainDepth = 36;
-
-std::multiset<std::string> Rows(const pass::pql::QueryResult& result) {
-  std::multiset<std::string> rows;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pass::pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    rows.insert(line);
-  }
-  return rows;
-}
 
 // A 4-shard cluster whose lineage chain stripes shards 0..2 only; shard 3
 // holds a single /churn file that TouchChurn mutates with fresh annotation
@@ -99,14 +83,9 @@ struct Fixture {
         "select Ancestor from Provenance.file as F F.input* as Ancestor "
         "where F.name = \"/f" +
         std::to_string(kChainDepth - 1) + "\"";
-
-    pass::waldo::ProvDb merged;
-    cluster->MergeInto(&merged);
-    pass::pql::ProvDbSource merged_source(&merged);
-    pass::pql::Engine merged_engine(&merged_source);
-    auto merged_result = merged_engine.Run(query);
-    PASS_CHECK(merged_result.ok());
-    want = Rows(*merged_result);
+    auto merged = pass::cluster::MergedRows(*cluster, query);
+    PASS_CHECK(merged.ok());
+    want = *merged;
   }
 
   void TouchChurn(int writes) {
@@ -133,7 +112,7 @@ struct Fixture {
   std::optional<pass::core::LibPass> churn_lib;
   int64_t next_id = 0;
   std::string query;
-  std::multiset<std::string> want;
+  std::vector<std::string> want;
 };
 
 uint64_t Percentile(std::vector<uint64_t> v, double p) {
@@ -195,20 +174,17 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
     handles.push_back(std::move(*session));
     fleet.push_back(handles.back().get());
   }
-  FederatedSource flush = fixture.cluster->Source(/*portal_shard=*/0,
-                                                  cache_bytes);
-  flush.set_whole_cache_invalidation(true);
-  pass::pql::Engine flush_engine(&flush);
+  pass::bench::FlushBaseline flush(fixture.cluster.get(), cache_bytes);
 
   // Warm every cache, then zero the counters: the cell measures the
   // steady-state rounds, not the cold fill.
   for (PortalSession* session : fleet) {
     auto warm = session->Run(fixture.query);
     PASS_CHECK(warm.ok());
-    PASS_CHECK(Rows(*warm) == fixture.want);
+    PASS_CHECK(warm->SortedRows() == fixture.want);
     session->source().ResetStats();
   }
-  PASS_CHECK(flush_engine.Run(fixture.query).ok());
+  PASS_CHECK(flush.Run(fixture.query).ok());
   flush.ResetStats();
 
   CellResult out;
@@ -224,11 +200,11 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
       latencies.push_back(
           static_cast<uint64_t>(env.clock().now() - start));
       PASS_CHECK(result.ok());
-      out.matches = out.matches && Rows(*result) == fixture.want;
+      out.matches = out.matches && result->SortedRows() == fixture.want;
     }
-    auto flush_result = flush_engine.Run(fixture.query);
+    auto flush_result = flush.Run(fixture.query);
     PASS_CHECK(flush_result.ok());
-    out.matches = out.matches && Rows(*flush_result) == fixture.want;
+    out.matches = out.matches && flush_result->SortedRows() == fixture.want;
   }
   for (PortalSession* session : fleet) {
     const auto& stats = session->source().stats();
@@ -238,8 +214,8 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
     out.fine_full += stats.cache_invalidations_full;
     out.fine_evictions += stats.cache_evictions;
   }
-  out.flush_misses = flush.stats().cache_misses;
-  out.flush_full = flush.stats().cache_invalidations_full;
+  out.flush_misses = flush.misses();
+  out.flush_full = flush.full_flushes();
   out.p50_ns = Percentile(latencies, 0.50);
   out.p99_ns = Percentile(latencies, 0.99);
   tier.PublishMetrics();
@@ -263,7 +239,7 @@ void RunMigrationPhase(std::string* csv) {
   for (PortalSession* session : {a->get(), b->get()}) {
     auto warm = session->Run(fixture.query);
     PASS_CHECK(warm.ok());
-    PASS_CHECK(Rows(*warm) == fixture.want);
+    PASS_CHECK(warm->SortedRows() == fixture.want);
     session->source().ResetStats();
   }
 
@@ -281,7 +257,7 @@ void RunMigrationPhase(std::string* csv) {
   for (PortalSession* session : {a->get(), b->get()}) {
     auto during = session->Run(fixture.query);
     PASS_CHECK(during.ok());
-    PASS_CHECK(Rows(*during) == fixture.want);
+    PASS_CHECK(during->SortedRows() == fixture.want);
   }
 
   uint64_t invalidated = 0;
@@ -289,7 +265,7 @@ void RunMigrationPhase(std::string* csv) {
     session->RePin();
     auto after = session->Run(fixture.query);
     PASS_CHECK(after.ok());
-    PASS_CHECK(Rows(*after) == fixture.want);
+    PASS_CHECK(after->SortedRows() == fixture.want);
     PASS_CHECK(session->source().stats().cache_invalidations_full == 0);
     invalidated += session->source().stats().cache_entries_invalidated;
   }

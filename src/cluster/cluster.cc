@@ -4,6 +4,8 @@
 #include <limits>
 
 #include "src/lasagna/recovery.h"
+#include "src/pql/eval.h"
+#include "src/pql/provdb_source.h"
 #include "src/util/encode.h"
 #include "src/util/md5.h"
 #include "src/obs/obs.h"
@@ -37,8 +39,6 @@ ClusterCoordinator::ClusterCoordinator(ClusterOptions options)
   }
   IngestQueue::Options queue_options;
   queue_options.batch_records = options.ingest_batch_records;
-  queue_options.pipelined = options.pipelined_replication;
-  queue_options.max_in_flight_batches = options.max_in_flight_batches;
   queue_ = std::make_unique<IngestQueue>(&env_, &net_, &shard_map_,
                                          std::move(dbs), queue_options);
 }
@@ -740,6 +740,36 @@ void ClusterCoordinator::MergeInto(waldo::ProvDb* out) const {
       }
     }
   }
+}
+
+Result<std::vector<std::string>> MergedRows(const ClusterCoordinator& cluster,
+                                            const std::string& query) {
+  waldo::ProvDb merged;
+  cluster.MergeInto(&merged);
+  pql::ProvDbSource source(&merged);
+  PASS_ASSIGN_OR_RETURN(pql::QueryResult result,
+                        pql::Engine(&source).Run(query));
+  return result.SortedRows();
+}
+
+Status CheckEquivalent(ClusterCoordinator& cluster,
+                       const std::vector<std::string>& queries) {
+  FederatedSource federated = cluster.Source(/*portal_shard=*/0);
+  pql::Engine engine(&federated);
+  for (const std::string& query : queries) {
+    auto got = engine.Run(query);
+    if (!got.ok()) {
+      return Internal("federated: " + got.status().ToString() + ": " + query);
+    }
+    auto want = MergedRows(cluster, query);
+    if (!want.ok()) {
+      return Internal("merged: " + want.status().ToString() + ": " + query);
+    }
+    if (got->SortedRows() != *want) {
+      return Internal("federated != merged: " + query);
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace pass::cluster

@@ -17,10 +17,10 @@
 //     disclose INPUT edges to objects owned by shard A);
 //   * recovers each shard's Lasagna log into the shard-local ProvDb and
 //     pushes cross-shard entries through the batched IngestQueue
-//     (see src/cluster/ingest.h), charging network per batch — by default
-//     pipelined: batches are acked at the group-committed journal write
-//     and shipped on a background async timeline that only a Quiesce()
-//     barrier (taken by queries, migration, and recovery) waits out;
+//     (see src/cluster/ingest.h), charging network per batch — pipelined:
+//     batches are acked at the group-committed journal write and shipped
+//     on a background async timeline that only a Quiesce() barrier (taken
+//     by queries, migration, and recovery) waits out;
 //   * migrates pnode ranges between shards (MigrateRange) and rebalances
 //     skewed clusters (Rebalance) without changing query results;
 //   * journals every cross-shard mutation — replication batches and the
@@ -55,14 +55,6 @@ struct ClusterOptions {
   uint64_t seed = 42;
   // Records per cross-shard replication batch; 1 = one RTT per record.
   size_t ingest_batch_records = 64;
-  // Pipelined replication (the default): Sync acks a batch once its
-  // REPL_BATCH record is group-committed, and ships it on the background
-  // async timeline; false restores the sync-drain shape where every Sync
-  // waits for every remote ack inline (bench/fig8's baseline).
-  bool pipelined_replication = true;
-  // Bound on journaled-but-unacknowledged transfers in flight before the
-  // shipper blocks (backpressure).
-  size_t max_in_flight_batches = 16;
   sim::NetParams net_params;
   lasagna::LasagnaOptions lasagna_options;
   core::CycleAlgorithm cycle_algorithm = core::CycleAlgorithm::kCycleAvoidance;
@@ -205,18 +197,20 @@ class ClusterCoordinator {
   // any point (sim::Env::CrashAfterOps) is repaired by Recover(); the
   // interrupted call returns Unavailable.
   //
-  // Under pipelined replication (the default) Sync returns at the
-  // journal-durable point: each shard's batches are group-committed as
-  // REPL_BATCH records in one coalesced journal write and handed to the
-  // background shipper, whose in-flight transfers overlap whatever the
-  // cluster does next. Quiesce() is the barrier that waits them out;
-  // Source(), MigrateRange(), and Recover() take it implicitly.
+  // Replication is pipelined: Sync returns at the journal-durable point —
+  // each shard's batches are group-committed as REPL_BATCH records in one
+  // coalesced journal write and handed to the background shipper, whose
+  // in-flight transfers (at most 16 before the shipper blocks) overlap
+  // whatever the cluster does next. Quiesce() is the barrier that waits
+  // them out; Source(), MigrateRange(), and Recover() take it implicitly.
+  // Sync() followed by Quiesce() returns only once every remote shard has
+  // applied every batch.
   Status Sync();
 
   // Wait until every in-flight replication transfer has completed, charging
   // only the time not already covered by foreground execution since the
-  // transfers were scheduled. No round trips; a no-op in sync-drain mode
-  // and on a crashed cluster. Returns the nanos charged.
+  // transfers were scheduled. No round trips; a no-op when nothing is in
+  // flight and on a crashed cluster. Returns the nanos charged.
   sim::Nanos Quiesce();
 
   // Repair the durable state after a coordinator crash, as a restarted
@@ -341,6 +335,20 @@ class ClusterCoordinator {
   std::multiset<uint64_t> pinned_epochs_;
   std::vector<DeferredRetirement> deferred_;
 };
+
+// ---- Equivalence oracle -----------------------------------------------------
+// `query`'s rows over the merged single-database view (MergeInto), in
+// pql::QueryResult::SortedRows form: the answer every federated run of the
+// query must equal.
+Result<std::vector<std::string>> MergedRows(const ClusterCoordinator& cluster,
+                                            const std::string& query);
+
+// Every query in `queries` must return the same rows (order aside) through a
+// fresh federated source on portal shard 0 as MergedRows. Takes the
+// Quiesce() barrier through Source(). Returns the first evaluation failure
+// or mismatch, naming the query.
+Status CheckEquivalent(ClusterCoordinator& cluster,
+                       const std::vector<std::string>& queries);
 
 }  // namespace pass::cluster
 

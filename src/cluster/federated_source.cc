@@ -96,23 +96,6 @@ void FederatedSource::EraseEntry(
 
 void FederatedSource::ValidateCache() const {
   uint64_t epoch = map_->epoch();
-  if (whole_cache_) {
-    // Legacy baseline: any epoch movement or any mutation anywhere in the
-    // cluster drops everything.
-    uint64_t mutations = 0;
-    for (const waldo::ProvDb* db : shards_) {
-      mutations += db->mutation_count();
-    }
-    if (epoch != cache_epoch_ || mutations != cache_mutations_) {
-      if (cache_filled_) {
-        ++stats_.cache_invalidations_full;
-      }
-      ClearCache();
-      cache_epoch_ = epoch;
-      cache_mutations_ = mutations;
-    }
-    return;
-  }
   if (epoch == cache_epoch_) {
     return;
   }
@@ -152,17 +135,15 @@ const FederatedSource::CacheEntry* FederatedSource::CacheLookup(
   if (it == cache_.end()) {
     return nullptr;
   }
-  if (!whole_cache_) {
-    // Revalidate exactly this entry: the filling shard's fingerprint for
-    // the entry's own pnode bucket. (ValidateCache already dropped entries
-    // whose range changed owner, so the filling shard is still the owner.)
-    const CacheEntry& entry = it->second;
-    if (shards_[entry.shard]->range_mutation_count(key.pnode) !=
-        entry.fingerprint) {
-      EraseEntry(it);
-      ++stats_.cache_entries_invalidated;
-      return nullptr;
-    }
+  // Revalidate exactly this entry: the filling shard's fingerprint for the
+  // entry's own pnode bucket. (ValidateCache already dropped entries whose
+  // range changed owner, so the filling shard is still the owner.)
+  const CacheEntry& entry = it->second;
+  if (shards_[entry.shard]->range_mutation_count(key.pnode) !=
+      entry.fingerprint) {
+    EraseEntry(it);
+    ++stats_.cache_entries_invalidated;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru);
   ++stats_.cache_hits;

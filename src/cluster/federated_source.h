@@ -26,9 +26,8 @@
 //     lookup revalidates only that fingerprint — ingest into shard 3 does
 //     not evict entries homed on shard 0. ShardMap epoch bumps consult the
 //     map's epoch-change history and drop only entries whose range actually
-//     changed owner. Stale ownership or data is never served, but unrelated
-//     churn no longer flushes the cache (set_whole_cache_invalidation(true)
-//     restores the old drop-everything behavior as a bench baseline).
+//     changed owner. Stale ownership or data is never served, and unrelated
+//     churn never flushes the cache.
 //
 // Provided the cross-shard ingest queue has replicated foreign-subject
 // records and foreign-ancestor edges (see src/cluster/ingest.h), a query
@@ -63,10 +62,10 @@ struct FederatedStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  // Invalidation accounting, split by blast radius: full clears (the map
-  // was rebuilt, or every clear in whole-cache compatibility mode) vs
-  // individual entries dropped because their own range's fingerprint moved
-  // or their range changed owner.
+  // Invalidation accounting, split by blast radius: full clears (the
+  // ShardMap was rebuilt under the cache) vs individual entries dropped
+  // because their own range's fingerprint moved or their range changed
+  // owner.
   uint64_t cache_invalidations_full = 0;
   uint64_t cache_entries_invalidated = 0;
 };
@@ -110,10 +109,6 @@ class FederatedSource : public pql::GraphSource {
   std::string NodeLabel(const pql::Node& node) const override;
 
   const FederatedStats& stats() const { return stats_; }
-  // Compatibility baseline for benches: drop the whole cache whenever the
-  // ShardMap epoch or the sum of all shards' mutation_count() moves — the
-  // pre-fingerprint behavior whose hit ratio collapses under ingest churn.
-  void set_whole_cache_invalidation(bool on) { whole_cache_ = on; }
   // Uniform with Disk/Net/Lasagna/IngestQueue: zero the counters so benches
   // can measure phases (the cache itself is untouched — only the counters
   // reset, so a warm-cache phase reports pure-hit numbers).
@@ -168,8 +163,7 @@ class FederatedSource : public pql::GraphSource {
 
   // Reconcile the cache with the ShardMap epoch: entries in ranges the
   // epoch-change history says were reassigned since the last validation are
-  // dropped; everything else survives. (Whole-cache mode: any epoch or
-  // mutation-sum movement clears everything, the legacy behavior.)
+  // dropped; everything else survives.
   void ValidateCache() const;
   // Small-id intern table for attribute names; allocation happens only the
   // first time a name is seen, never on a probe.
@@ -185,14 +179,12 @@ class FederatedSource : public pql::GraphSource {
   int portal_shard_;
   size_t cache_capacity_;
   obs::Observability* obs_ = nullptr;
-  bool whole_cache_ = false;  // legacy flush-everything baseline mode
   mutable FederatedStats stats_;
   mutable std::map<CacheKey, CacheEntry> cache_;
   mutable std::list<CacheKey> lru_;  // front = most recently used
   mutable std::map<std::string, uint32_t> attr_ids_;  // interned attr names
   mutable size_t cache_bytes_ = 0;
   mutable uint64_t cache_epoch_ = 0;
-  mutable uint64_t cache_mutations_ = 0;  // whole-cache mode only
   mutable bool cache_filled_ = false;
 };
 

@@ -15,6 +15,9 @@ namespace {
 // RPC framing overhead per batch (op code, shard id, entry count, ...).
 constexpr uint64_t kBatchHeaderBytes = 32;
 constexpr uint64_t kAckBytes = 16;
+// Bound on journaled-but-incomplete transfers in flight; submitting past it
+// blocks (backpressure) until the oldest completes.
+constexpr size_t kMaxInFlightBatches = 16;
 
 obs::Labels ShardLabel(int shard) {
   return obs::Labels{{"shard", std::to_string(shard)}};
@@ -47,11 +50,7 @@ void IngestQueue::Enqueue(int destination, const lasagna::LogEntry& entry) {
   }
   queue.push_back(entry);
   if (queue.size() >= options_.batch_records) {
-    if (options_.pipelined) {
-      Seal(destination);
-    } else {
-      FlushShardSync(destination);
-    }
+    Seal(destination);
   }
 }
 
@@ -70,88 +69,20 @@ void IngestQueue::Seal(int destination) {
 
 void IngestQueue::RecordAck(const SealedBatch& batch) {
   ++stats_.batches_acked;
-  if (env_ != nullptr) {
-    env_->obs()
-        .metrics()
-        .GetHistogram("ingest.ack_ns")
-        .Record(Now() - batch.enqueued_at);
-  }
-}
-
-void IngestQueue::FlushShardSync(int destination) {
-  auto& queue = pending_[destination];
-  if (queue.empty() || Crashed()) {
-    return;
-  }
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
-  sim::Nanos flush_start = Now();
-  obs::ScopedSpan flush_span(trace, "ingest.flush", destination);
-  std::string payload;
-  lasagna::EncodeLogEntries(&payload, queue);
-  // WAP for the cluster: the batch is durable in the journal before any of
-  // its effects (the network send, the remote apply) happen.
-  uint64_t batch_id = 0;
-  if (journal_ != nullptr) {
-    obs::ScopedSpan journal_span(trace, "journal.repl_batch");
-    batch_id = journal_->AppendReplBatch(destination, queue);
-  }
-  if (MaybeCrash()) {
-    return;  // journaled but never sent: recovery redelivers
-  }
-  // The batch "carries" the sender's trace context across the simulated
-  // RPC boundary: the destination's apply span parents to this rpc span.
-  obs::TraceContext rpc_ctx;
-  {
-    obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
-    net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
-  }
-  ++stats_.batches_sent;
-  stats_.bytes_sent += payload.size();
-  waldo::ProvDb* db = shards_[destination];
-  {
-    obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_batch",
-                               destination);
-    for (const lasagna::LogEntry& entry : queue) {
-      // InsertUnique: redelivery of this batch after a crash cannot
-      // duplicate rows the destination already applied.
-      if (db->InsertUnique(entry)) {
-        ++stats_.entries_replicated;
-      }
-    }
-  }
-  if (MaybeCrash()) {
-    return;  // applied but unacknowledged: redelivery is a no-op
-  }
-  if (journal_ != nullptr) {
-    journal_->AppendReplApplied(batch_id);
-  }
-  SealedBatch acked;
-  acked.destination = destination;
-  acked.enqueued_at = pending_since_[destination];
-  queue.clear();
-  RecordAck(acked);
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    obs::Labels labels = ShardLabel(destination);
-    metrics.GetCounter("ingest.flushes", labels).Add();
-    metrics.GetHistogram("ingest.flush_ns", labels)
-        .Record(Now() - flush_start);
-  }
+  env_->obs()
+      .metrics()
+      .GetHistogram("ingest.ack_ns")
+      .Record(Now() - batch.enqueued_at);
 }
 
 void IngestQueue::ShipSealed(const SealedBatch& batch) {
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
+  obs::TraceCollector* trace = &env_->obs().trace();
   std::string payload;
   lasagna::EncodeLogEntries(&payload, batch.entries);
   // Bounded in-flight window: past it the sender blocks until the oldest
-  // transfer completes — the only place pipelined ingest waits on the wire.
-  sim::Nanos waited = timeline_.WaitForSlot(options_.max_in_flight_batches);
-  if (waited > 0 && env_ != nullptr) {
+  // transfer completes — the only place ingest waits on the wire.
+  sim::Nanos waited = timeline_.WaitForSlot(kMaxInFlightBatches);
+  if (waited > 0) {
     env_->obs()
         .metrics()
         .GetHistogram("ingest.backpressure_ns")
@@ -160,9 +91,7 @@ void IngestQueue::ShipSealed(const SealedBatch& batch) {
   obs::TraceContext rpc_ctx;
   {
     obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", batch.destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
+    rpc_ctx = trace->CurrentContext();
     net_->RoundTripAsync(&timeline_, kBatchHeaderBytes + payload.size(),
                          kAckBytes);
   }
@@ -181,8 +110,8 @@ void IngestQueue::ShipSealed(const SealedBatch& batch) {
   }
 }
 
-void IngestQueue::FlushPipelined() {
-  if (Crashed()) {
+void IngestQueue::Flush() {
+  if (env_->crashed()) {
     return;
   }
   // Seal the partial batches too: Flush drains everything pending.
@@ -192,8 +121,7 @@ void IngestQueue::FlushPipelined() {
   if (ready_.empty()) {
     return;
   }
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
+  obs::TraceCollector* trace = &env_->obs().trace();
   sim::Nanos flush_start = Now();
   obs::ScopedSpan flush_span(trace, "ingest.flush");
   // Foreground half: one coalesced journal write makes every sealed batch
@@ -211,7 +139,7 @@ void IngestQueue::FlushPipelined() {
     ++stats_.group_commits;
     stats_.group_frames += frames;
   }
-  if (MaybeCrash()) {
+  if (env_->MaybeCrash()) {
     return;  // journaled but never shipped: recovery redelivers every batch
   }
   for (const SealedBatch& batch : ready_) {
@@ -224,13 +152,13 @@ void IngestQueue::FlushPipelined() {
   std::vector<uint64_t> shipped_ids;
   shipped_ids.reserve(ready_.size());
   for (size_t i = 0; i < ready_.size(); ++i) {
-    if (MaybeCrash()) {
+    if (env_->MaybeCrash()) {
       return;  // durable but unsent (or partially sent): redelivered
     }
     ShipSealed(ready_[i]);
     shipped_ids.push_back(batch_ids[i]);
   }
-  if (MaybeCrash()) {
+  if (env_->MaybeCrash()) {
     return;  // every batch in flight, none acknowledged: redelivered
   }
   // The REPL_APPLIED marks are one more coalesced write. Logically they
@@ -248,34 +176,20 @@ void IngestQueue::FlushPipelined() {
     stats_.group_frames += frames;
   }
   ready_.clear();
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    metrics.GetCounter("ingest.flushes").Add();
-    metrics.GetHistogram("ingest.flush_ns").Record(Now() - flush_start);
-  }
-}
-
-void IngestQueue::Flush() {
-  if (options_.pipelined) {
-    FlushPipelined();
-    return;
-  }
-  for (size_t shard = 0; shard < pending_.size(); ++shard) {
-    FlushShardSync(static_cast<int>(shard));
-  }
+  obs::MetricRegistry& metrics = env_->obs().metrics();
+  metrics.GetCounter("ingest.flushes").Add();
+  metrics.GetHistogram("ingest.flush_ns").Record(Now() - flush_start);
 }
 
 sim::Nanos IngestQueue::Quiesce() {
-  if (Crashed()) {
+  if (env_->crashed()) {
     return 0;
   }
   sim::Nanos charged = timeline_.Drain();
-  if (env_ != nullptr) {
-    obs::MetricRegistry& metrics = env_->obs().metrics();
-    metrics.GetCounter("ingest.quiesces").Add();
-    if (charged > 0) {
-      metrics.GetHistogram("ingest.quiesce_wait_ns").Record(charged);
-    }
+  obs::MetricRegistry& metrics = env_->obs().metrics();
+  metrics.GetCounter("ingest.quiesces").Add();
+  if (charged > 0) {
+    metrics.GetHistogram("ingest.quiesce_wait_ns").Record(charged);
   }
   return charged;
 }
@@ -290,17 +204,14 @@ void IngestQueue::DropPending() {
 
 uint64_t IngestQueue::Redeliver(
     int destination, const std::vector<lasagna::LogEntry>& entries) {
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
+  obs::TraceCollector* trace = &env_->obs().trace();
   obs::ScopedSpan redeliver_span(trace, "ingest.redeliver", destination);
   std::string payload;
   lasagna::EncodeLogEntries(&payload, entries);
   obs::TraceContext rpc_ctx;
   {
     obs::ScopedSpan rpc_span(trace, "rpc.repl_batch", destination);
-    if (trace != nullptr) {
-      rpc_ctx = trace->CurrentContext();
-    }
+    rpc_ctx = trace->CurrentContext();
     net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
   }
   uint64_t inserted = 0;
@@ -318,11 +229,10 @@ uint64_t IngestQueue::Redeliver(
 IngestQueue::ShipReport IngestQueue::ShipTo(
     int destination, const std::vector<lasagna::LogEntry>& entries) {
   ShipReport report;
-  obs::TraceCollector* trace =
-      env_ == nullptr ? nullptr : &env_->obs().trace();
+  obs::TraceCollector* trace = &env_->obs().trace();
   waldo::ProvDb* db = shards_[destination];
   for (size_t at = 0; at < entries.size(); at += options_.batch_records) {
-    if (MaybeCrash()) {
+    if (env_->MaybeCrash()) {
       break;  // mid-copy crash: recovery re-ships the whole range
     }
     sim::Nanos chunk_start = Now();
@@ -335,9 +245,7 @@ IngestQueue::ShipReport IngestQueue::ShipTo(
     obs::TraceContext rpc_ctx;
     {
       obs::ScopedSpan rpc_span(trace, "rpc.ship", destination);
-      if (trace != nullptr) {
-        rpc_ctx = trace->CurrentContext();
-      }
+      rpc_ctx = trace->CurrentContext();
       net_->RoundTrip(kBatchHeaderBytes + payload.size(), kAckBytes);
     }
     ++report.batches;
@@ -356,12 +264,10 @@ IngestQueue::ShipReport IngestQueue::ShipTo(
       }
     }
     chunk_span.End();
-    if (env_ != nullptr) {
-      env_->obs()
-          .metrics()
-          .GetHistogram("migrate.ship_chunk_ns", ShardLabel(destination))
-          .Record(Now() - chunk_start);
-    }
+    env_->obs()
+        .metrics()
+        .GetHistogram("migrate.ship_chunk_ns", ShardLabel(destination))
+        .Record(Now() - chunk_start);
   }
   stats_.migrate_batches += report.batches;
   stats_.migrate_bytes += report.bytes;

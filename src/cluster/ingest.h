@@ -23,27 +23,20 @@
 // replicated entry, which is what bench/fig3_cluster uses as the unbatched
 // baseline.
 //
-// The queue runs in one of two modes (Options::pipelined):
+// The queue applies the Lasagna discipline at the replication boundary: the
+// hot path never waits on the wire. Flush() splits into a foreground half
+// that seals every pending batch and group-commits their REPL_BATCH records
+// in ONE coalesced journal write — the durable point at which the workload
+// is acked — and a background half that ships the sealed batches over the
+// async timeline, where in-flight transfers overlap later foreground
+// execution and cost elapsed time only at a Quiesce() barrier (or when the
+// bounded in-flight window forces a backpressure wait). A caller that must
+// see every remote ack before it proceeds follows Flush() with Quiesce().
 //
-//   * Pipelined (default) — the Lasagna discipline, extended to the
-//     replication boundary: the hot path never waits on the wire. Flush()
-//     splits into a foreground half that seals every pending batch and
-//     group-commits their REPL_BATCH records in ONE coalesced journal
-//     write — the durable point at which the workload is acked — and a
-//     background half that ships the sealed batches over the async
-//     timeline, where in-flight transfers overlap later foreground
-//     execution and cost elapsed time only at a Quiesce() barrier (or when
-//     the bounded in-flight window forces a backpressure wait).
-//
-//   * Sync-drain — the legacy shape (fig8's baseline): each batch
-//     journals, ships, and applies inline, and Flush() returns only after
-//     every destination has acknowledged.
-//
-// Durability is identical in both modes: a batch is durable as REPL_BATCH
-// in the active ClusterJournal before the network is charged and is marked
-// REPL_APPLIED only after the destination applied it. Application goes
-// through ProvDb::InsertUnique, so a crash anywhere in between — including
-// the new async points: group-committed-but-unsent, sent-but-unacked — is
+// A batch is durable as REPL_BATCH in the active ClusterJournal before the
+// network is charged and is marked REPL_APPLIED only after the destination
+// applied it. Application goes through ProvDb::InsertUnique, so a crash
+// anywhere in between — group-committed-but-unsent, sent-but-unacked — is
 // repaired by redelivering the journaled batch. Crash points
 // (sim::Env::MaybeCrash) bracket the non-durable steps; once the
 // environment is crashed the queue does nothing, like the dead process it
@@ -81,7 +74,7 @@ struct IngestStats {
   uint64_t group_commits = 0;  // coalesced REPL_BATCH journal writes
   uint64_t group_frames = 0;   // REPL_BATCH frames across those writes
   uint64_t batches_acked = 0;  // batches acked back to the workload
-  // Migration traffic (ShipTo), previously invisible here.
+  // Migration traffic (ShipTo).
   uint64_t migrate_batches = 0;  // ShipTo round trips charged
   uint64_t migrate_bytes = 0;    // ShipTo payload bytes on the wire
   uint64_t migrate_entries = 0;  // entries ShipTo put on the wire
@@ -95,17 +88,11 @@ class IngestQueue {
   struct Options {
     // Records per cross-shard replication batch; 1 = one RTT per record.
     size_t batch_records = 64;
-    // Pipelined (journal-then-ack + background shipper) vs legacy
-    // sync-drain. See the header comment.
-    bool pipelined = true;
-    // Bound on journaled-but-incomplete transfers in flight; submitting
-    // past it blocks (backpressure) until the oldest completes.
-    size_t max_in_flight_batches = 16;
   };
 
   // `shards[i]` is shard i's local database; `net` models the cluster
-  // fabric; `map` (borrowed, live) resolves pnode ownership; `env` supplies
-  // crash points and the clock (may be null: never crashes, never times).
+  // fabric; `map` (borrowed, live) resolves pnode ownership; `env`
+  // (borrowed) supplies crash points, the clock, and the metric registry.
   IngestQueue(sim::Env* env, sim::Network* net, const ShardMap* map,
               std::vector<waldo::ProvDb*> shards, Options options)
       : env_(env),
@@ -113,15 +100,11 @@ class IngestQueue {
         map_(map),
         shards_(std::move(shards)),
         options_(options),
-        timeline_(env == nullptr ? nullptr : &env->clock()),
+        timeline_(&env->clock()),
         pending_(shards_.size()),
         pending_since_(shards_.size(), 0) {
     if (options_.batch_records == 0) {
       options_.batch_records = 1;
-    }
-    if (env_ == nullptr) {
-      // No clock to overlap against: degrade to the inline path.
-      options_.pipelined = false;
     }
   }
 
@@ -130,14 +113,12 @@ class IngestQueue {
   void SetJournal(ClusterJournal* journal) { journal_ = journal; }
 
   // Examine one entry recovered on `source_shard` and enqueue copies for
-  // every remote shard that must index it. Full batches seal immediately
-  // (pipelined) or flush inline (sync-drain).
+  // every remote shard that must index it. Full batches seal immediately.
   void Offer(int source_shard, const lasagna::LogEntry& entry);
 
-  // Drain everything pending. Pipelined: group-commit every sealed batch's
-  // REPL_BATCH record in one journal write, ack, then hand the batches to
-  // the background shipper. Sync-drain: journal/ship/apply each batch
-  // inline, returning only after every destination acked.
+  // Drain everything pending: group-commit every sealed batch's REPL_BATCH
+  // record in one journal write, ack, then hand the batches to the
+  // background shipper.
   void Flush();
 
   // Quiesce the background channel: wait (charging only the remainder the
@@ -192,13 +173,9 @@ class IngestQueue {
     sim::Nanos enqueued_at = 0;
   };
 
-  bool Crashed() const { return env_ != nullptr && env_->crashed(); }
-  bool MaybeCrash() { return env_ != nullptr && env_->MaybeCrash(); }
-  sim::Nanos Now() const { return env_ == nullptr ? 0 : env_->clock().now(); }
+  sim::Nanos Now() const { return env_->clock().now(); }
   void Enqueue(int destination, const lasagna::LogEntry& entry);
-  void Seal(int destination);           // pending -> ready_ (pipelined)
-  void FlushPipelined();                // journal-then-ack + background ship
-  void FlushShardSync(int destination); // legacy inline drain
+  void Seal(int destination);                 // pending -> ready_
   void ShipSealed(const SealedBatch& batch);  // async wire + remote apply
   void RecordAck(const SealedBatch& batch);
 

@@ -30,10 +30,6 @@ PortalSession::~PortalSession() {
   cluster_->UnpinEpoch(pinned_epoch_);
 }
 
-Result<pql::QueryResult> PortalSession::Run(std::string_view query) {
-  return Run(query, pql::QueryOptions());
-}
-
 Result<pql::QueryResult> PortalSession::Run(std::string_view query,
                                             const pql::QueryOptions& options) {
   if (options.consistency == pql::Consistency::kFresh) {

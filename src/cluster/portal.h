@@ -86,9 +86,8 @@ class PortalSession {
   // (read-your-writes across migrations; kDefault/kPinnedEpoch answer from
   // the session's pinned snapshot), and a non-empty trace_label is added
   // to the latency histogram's labels.
-  Result<pql::QueryResult> Run(std::string_view query);
   Result<pql::QueryResult> Run(std::string_view query,
-                               const pql::QueryOptions& options);
+                               const pql::QueryOptions& options = {});
 
   // Re-capture the live ShardMap + journal horizons and move the epoch pin
   // forward, releasing any migration retirements the old pin blocked. The

@@ -467,6 +467,21 @@ ValueSet QueryResult::Flatten() const {
   return out;
 }
 
+std::vector<std::string> QueryResult::SortedRows() const {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const auto& row : rows) {
+    std::string line;
+    for (const Value& value : row) {
+      line += value.ToString();
+      line += '|';
+    }
+    out.push_back(std::move(line));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 Result<QueryResult> Engine::Run(std::string_view text,
                                 const QueryOptions& options) const {
   PASS_ASSIGN_OR_RETURN(std::unique_ptr<Query> query, ParseQuery(text));

@@ -32,6 +32,9 @@ struct QueryResult {
   std::string ToTable(const GraphSource* source) const;
   // Flatten all cells into one value set.
   ValueSet Flatten() const;
+  // One "cell|cell|" string per row, sorted: the canonical form two results
+  // are compared in when row order is not part of the contract.
+  std::vector<std::string> SortedRows() const;
 };
 
 struct EvalLimits {
@@ -67,9 +70,6 @@ struct QueryOptions {
 class Engine {
  public:
   explicit Engine(const GraphSource* source) : source_(source) {}
-  Engine(const GraphSource* source, EvalLimits limits) : source_(source) {
-    options_.limits = limits;
-  }
   Engine(const GraphSource* source, QueryOptions options)
       : source_(source), options_(std::move(options)) {}
 

@@ -106,9 +106,9 @@ class ProvDb {
   uint64_t EdgeCount() const { return edge_count_; }
 
   // Monotone counter bumped by every mutating call that changed the database
-  // (Insert, an inserting InsertUnique, a removing DeleteRange). Caches over
-  // the query surface — the federated portal's result cache — fingerprint
-  // this to detect that their entries may be stale.
+  // (Insert, an inserting InsertUnique, a removing DeleteRange). A cache over
+  // the query surface that watches only this must drop everything when it
+  // moves; the whole-cache-flush bench baseline (bench/harness.h) does.
   uint64_t mutation_count() const { return mutation_count_; }
 
   // ---- Per-range mutation fingerprints -------------------------------------

@@ -3,14 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
 #include "src/cluster/ingest.h"
 #include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 
 namespace pass::cluster {
 namespace {
@@ -40,21 +39,6 @@ std::vector<core::ObjectRef> BuildCrossShardChain(ClusterCoordinator* cluster,
     refs.push_back(*ref);
   }
   return refs;
-}
-
-// Render a query result as a multiset of value strings (row order is not
-// part of the contract being compared).
-std::multiset<std::string> ResultSet(const pql::QueryResult& result) {
-  std::multiset<std::string> out;
-  for (const auto& row : result.rows) {
-    std::string line;
-    for (const pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    out.insert(line);
-  }
-  return out;
 }
 
 TEST(ClusterTest, ProvisionsShardsWithDisjointPnodeSpaces) {
@@ -154,12 +138,7 @@ TEST(ClusterTest, FederatedAncestryQueryMatchesMergedSingleDb) {
   ASSERT_TRUE(cluster.WriteWithLineage(2, "/island", "iii", {}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
 
-  waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  FederatedSource federated_source = cluster.Source(/*portal_shard=*/0);
-
-  const std::string kQueries[] = {
+  const std::vector<std::string> kQueries = {
       // Full ancestry closure of the chain tail, crossing all 4 shards.
       "select Ancestor from Provenance.file as F F.input* as Ancestor "
       "where F.name = \"/f11\"",
@@ -172,15 +151,9 @@ TEST(ClusterTest, FederatedAncestryQueryMatchesMergedSingleDb) {
       // Typed root set spanning every shard.
       "select F.name from Provenance.file as F",
   };
+  EXPECT_EQ(CheckEquivalent(cluster, kQueries).ToString(), "OK");
   for (const std::string& query : kQueries) {
-    pql::Engine merged_engine(&merged_source);
-    pql::Engine federated_engine(&federated_source);
-    auto want = merged_engine.Run(query);
-    ASSERT_TRUE(want.ok()) << query << ": " << want.status().ToString();
-    auto got = federated_engine.Run(query);
-    ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
-    EXPECT_EQ(ResultSet(*got), ResultSet(*want)) << query;
-    EXPECT_FALSE(want->rows.empty()) << query;
+    EXPECT_FALSE(MergedRows(cluster, query)->empty()) << query;
   }
 }
 
@@ -205,18 +178,48 @@ TEST(ClusterTest, BatchedIngestReducesRoundTripsAtEqualRecordCounts) {
   EXPECT_EQ(unbatched_stats.batches_sent, unbatched_stats.entries_replicated);
 }
 
-// ---- ShardMap routing / live migration --------------------------------------
+// Sync() then Quiesce() is the wait for replication to finish (the baseline
+// bench/fig3_cluster and bench/fig8_pipeline_ingest measure): afterwards
+// every journaled batch is marked applied, nothing is in flight, and a
+// second barrier has nothing left to charge.
+TEST(ClusterTest, SyncThenQuiesceLeavesEveryBatchApplied) {
+  ClusterCoordinator cluster(SmallCluster(4, /*batch=*/4));
+  BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(cluster.Sync().ok());
+  EXPECT_GT(cluster.replication_timeline().InFlight(), 0u);
+  cluster.Quiesce();
 
-// Multiset of all rows from running `query` through `source`.
-std::multiset<std::string> RunQuery(pql::GraphSource* source,
-                                    const std::string& query) {
-  pql::Engine engine(source);
-  auto result = engine.Run(query);
-  EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
-  return result.ok() ? ResultSet(*result) : std::multiset<std::string>{};
+  size_t batches = 0;
+  for (int shard = 0; shard < cluster.shard_count(); ++shard) {
+    auto state = cluster.journal(shard).Scan();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    for (const JournalBatch& batch : state->batches) {
+      EXPECT_TRUE(batch.applied) << "shard " << shard << " batch " << batch.id;
+    }
+    batches += state->batches.size();
+  }
+  EXPECT_GT(batches, 0u);
+  EXPECT_EQ(cluster.replication_timeline().InFlight(), 0u);
+  EXPECT_EQ(cluster.Quiesce(), 0);
 }
 
-const char* const kEquivalenceQueries[] = {
+// The replication window holds 16 transfers: one-record batches make each
+// shard's drain ship more than that, so the shipper must block on the
+// oldest transfer and record the wait.
+TEST(ClusterTest, FullReplicationWindowAppliesBackpressure) {
+  ClusterCoordinator cluster(SmallCluster(2, /*batch=*/1));
+  BuildCrossShardChain(&cluster, 40);
+  ASSERT_TRUE(cluster.Sync().ok());
+  EXPECT_GT(cluster.ingest_stats().batches_sent, 2u * 16u);
+  const obs::Histogram& waits =
+      cluster.env().obs().metrics().GetHistogram("ingest.backpressure_ns");
+  EXPECT_GT(waits.count(), 0u);
+  EXPECT_GT(waits.max(), 0u);
+}
+
+// ---- ShardMap routing / live migration --------------------------------------
+
+const std::vector<std::string> kEquivalenceQueries = {
     "select Ancestor from Provenance.file as F F.input* as Ancestor "
     "where F.name = \"/f11\"",
     "select D from Provenance.file as F F.~input* as D "
@@ -226,18 +229,14 @@ const char* const kEquivalenceQueries[] = {
     "select F.name from Provenance.file as F",
 };
 
-// Federated results must equal the merged single-database view.
-void ExpectFederatedMatchesMerged(ClusterCoordinator* cluster,
-                                  const std::string& context) {
-  waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  FederatedSource federated = cluster->Source(/*portal_shard=*/0);
-  for (const char* query : kEquivalenceQueries) {
-    auto want = RunQuery(&merged_source, query);
-    auto got = RunQuery(&federated, query);
-    EXPECT_EQ(got, want) << context << ": " << query;
-    EXPECT_FALSE(want.empty()) << context << ": " << query;
+// The shared oracle over kEquivalenceQueries, none of which may come back
+// empty (an empty answer would make the equivalence vacuous).
+void ExpectEquivalent(ClusterCoordinator& cluster, const std::string& context) {
+  EXPECT_EQ(CheckEquivalent(cluster, kEquivalenceQueries).ToString(), "OK")
+      << context;
+  for (const std::string& query : kEquivalenceQueries) {
+    EXPECT_FALSE(MergedRows(cluster, query)->empty())
+        << context << ": " << query;
   }
 }
 
@@ -304,19 +303,19 @@ TEST(ClusterTest, FederatedQueriesSurviveInterleavedMigrations) {
   auto refs = BuildCrossShardChain(&cluster, 12);
   ASSERT_TRUE(cluster.WriteWithLineage(2, "/island", "iii", {}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
-  ExpectFederatedMatchesMerged(&cluster, "before any migration");
+  ExpectEquivalent(cluster, "before any migration");
 
   // Move the prefix of shard 0's space (covering /f0, /f4) to shard 2.
   core::PnodeRange prefix{core::ShardSpace(0).begin, refs[4].pnode + 1};
   ASSERT_TRUE(cluster.MigrateRange(prefix, 2).ok());
-  ExpectFederatedMatchesMerged(&cluster, "after prefix migration");
+  ExpectEquivalent(cluster, "after prefix migration");
 
   // More workload after the migration, including writes on shard 0 that
   // disclose lineage to a migrated ancestor.
   auto extra = cluster.WriteWithLineage(0, "/extra", "eee", {refs[0]});
   ASSERT_TRUE(extra.ok());
   ASSERT_TRUE(cluster.Sync().ok());
-  ExpectFederatedMatchesMerged(&cluster, "after post-migration workload");
+  ExpectEquivalent(cluster, "after post-migration workload");
 
   // Move shard 1's *entire* home space to shard 3, then keep writing on
   // shard 1: even freshly minted pnodes belong to shard 3 now.
@@ -325,13 +324,13 @@ TEST(ClusterTest, FederatedQueriesSurviveInterleavedMigrations) {
   ASSERT_TRUE(late.ok());
   EXPECT_EQ(cluster.OwnerOf(late->pnode), 3);
   ASSERT_TRUE(cluster.Sync().ok());
-  ExpectFederatedMatchesMerged(&cluster, "after whole-space migration");
+  ExpectEquivalent(cluster, "after whole-space migration");
 
   // And back again: migrating home restores the default route.
   ASSERT_TRUE(cluster.MigrateRange(core::ShardSpace(1), 1).ok());
   ASSERT_TRUE(cluster.Sync().ok());
   EXPECT_EQ(cluster.OwnerOf(late->pnode), 1);
-  ExpectFederatedMatchesMerged(&cluster, "after migrating home");
+  ExpectEquivalent(cluster, "after migrating home");
 }
 
 // Satellite regression: a FederatedSource created *before* a migration must
@@ -348,7 +347,7 @@ TEST(ClusterTest, SourceCreatedBeforeMigrationRoutesThroughLiveMap) {
   const std::string query =
       "select D from Provenance.file as F F.~input* as D "
       "where F.name = \"/a\"";
-  auto before = RunQuery(&stale, query);
+  auto before = pql::Engine(&stale).Run(query)->SortedRows();
   EXPECT_FALSE(before.empty());
 
   ASSERT_TRUE(
@@ -356,12 +355,9 @@ TEST(ClusterTest, SourceCreatedBeforeMigrationRoutesThroughLiveMap) {
 
   // Same source object, post-migration: answers come from shard 1 now and
   // still match both the pre-migration answer and the merged view.
-  auto after = RunQuery(&stale, query);
+  auto after = pql::Engine(&stale).Run(query)->SortedRows();
   EXPECT_EQ(after, before);
-  waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  EXPECT_EQ(RunQuery(&merged_source, query), after);
+  EXPECT_EQ(*MergedRows(cluster, query), after);
 }
 
 // Satellite: federated queries with a non-default portal shard.
@@ -370,17 +366,15 @@ TEST(ClusterTest, NonZeroPortalShardServesLocalOpsWithoutNetwork) {
   auto refs = BuildCrossShardChain(&cluster, 9);
   ASSERT_TRUE(cluster.Sync().ok());
 
-  waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
   const std::string query =
       "select Ancestor from Provenance.file as F F.input* as Ancestor "
       "where F.name = \"/f8\"";
-  auto want = RunQuery(&merged_source, query);
+  auto want = *MergedRows(cluster, query);
 
   for (int portal = 0; portal < 3; ++portal) {
     FederatedSource source = cluster.Source(portal);
-    EXPECT_EQ(RunQuery(&source, query), want) << "portal " << portal;
+    EXPECT_EQ(pql::Engine(&source).Run(query)->SortedRows(), want)
+        << "portal " << portal;
     // Every portal serves its own pnodes locally and routes the rest.
     EXPECT_GT(source.stats().local_ops, 0u) << "portal " << portal;
     EXPECT_GT(source.stats().remote_ops, 0u) << "portal " << portal;
@@ -445,15 +439,11 @@ TEST(ClusterTest, RebalanceConvergesASkewedCluster) {
   EXPECT_GT(cluster.migration_stats().batches, 0u);
 
   // Rebalancing changed placement, not answers.
-  waldo::ProvDb merged;
-  cluster.MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  FederatedSource federated = cluster.Source(0);
   const std::string query =
       "select Ancestor from Provenance.file as F F.input* as Ancestor "
       "where F.name = \"/f23\"";
-  EXPECT_EQ(RunQuery(&federated, query), RunQuery(&merged_source, query));
-  EXPECT_GE(RunQuery(&federated, query).size(), 23u);
+  EXPECT_EQ(CheckEquivalent(cluster, {query}).ToString(), "OK");
+  EXPECT_GE(MergedRows(cluster, query)->size(), 23u);
 }
 
 TEST(ClusterTest, RebalanceIsANoOpOnABalancedCluster) {
@@ -492,7 +482,7 @@ TEST(ClusterTest, CrashMidSyncRecoversToEquivalentView) {
   auto recovery = cluster.Recover();
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
   EXPECT_GT(recovery->journals_scanned, 0u);
-  ExpectFederatedMatchesMerged(&cluster, "after mid-sync crash recovery");
+  ExpectEquivalent(cluster, "after mid-sync crash recovery");
 }
 
 // Acceptance: a coordinator crash between the copy and delete phases of a
@@ -552,18 +542,15 @@ TEST(ClusterTest, CrashBetweenMigrationCopyAndDeleteRollsForward) {
     EXPECT_EQ(owner == 1 ? on_source : on_destination, 0u)
         << "point " << point;
     // Federated still equals merged for lineage through the moved object.
-    waldo::ProvDb merged;
-    crashed.MergeInto(&merged);
-    pql::ProvDbSource merged_source(&merged);
-    FederatedSource federated = crashed.Source(/*portal_shard=*/0);
-    for (const char* query :
-         {"select D from Provenance.file as F F.~input* as D "
-          "where F.name = \"/a\"",
-          "select F.name from Provenance.file as F"}) {
-      auto want = RunQuery(&merged_source, query);
-      EXPECT_EQ(RunQuery(&federated, query), want)
+    const std::vector<std::string> queries = {
+        "select D from Provenance.file as F F.~input* as D "
+        "where F.name = \"/a\"",
+        "select F.name from Provenance.file as F"};
+    EXPECT_EQ(CheckEquivalent(crashed, queries).ToString(), "OK")
+        << "point " << point;
+    for (const std::string& query : queries) {
+      EXPECT_FALSE(MergedRows(crashed, query)->empty())
           << "point " << point << ": " << query;
-      EXPECT_FALSE(want.empty()) << "point " << point << ": " << query;
     }
   }
   // The sweep must have covered the copied-but-not-deleted window.

@@ -8,14 +8,12 @@
 
 #include <cstdlib>
 #include <new>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
 #include "src/pql/eval.h"
-#include "src/pql/provdb_source.h"
 
 // Binary-wide counting allocator: the zero-alloc probe test asserts the
 // warm cache-lookup path never reaches operator new. malloc stays the
@@ -95,34 +93,6 @@ std::vector<core::ObjectRef> BuildCrossShardChain(ClusterCoordinator* cluster,
   return refs;
 }
 
-std::multiset<std::string> RunQuery(pql::GraphSource* source,
-                                    const std::string& query) {
-  pql::Engine engine(source);
-  auto result = engine.Run(query);
-  EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
-  std::multiset<std::string> out;
-  if (!result.ok()) {
-    return out;
-  }
-  for (const auto& row : result->rows) {
-    std::string line;
-    for (const pql::Value& value : row) {
-      line += value.ToString();
-      line += '|';
-    }
-    out.insert(line);
-  }
-  return out;
-}
-
-std::multiset<std::string> MergedAnswer(ClusterCoordinator* cluster,
-                                        const std::string& query) {
-  waldo::ProvDb merged;
-  cluster->MergeInto(&merged);
-  pql::ProvDbSource merged_source(&merged);
-  return RunQuery(&merged_source, query);
-}
-
 const char kTailClosure[] =
     "select Ancestor from Provenance.file as F F.input* as Ancestor "
     "where F.name = \"/f11\"";
@@ -133,8 +103,8 @@ TEST(FederatedCacheTest, RepeatedQueriesAreServedFromTheCache) {
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
-  auto first = RunQuery(&source, kTailClosure);
-  EXPECT_EQ(first, MergedAnswer(&cluster, kTailClosure));
+  auto first = pql::Engine(&source).Run(kTailClosure)->SortedRows();
+  EXPECT_EQ(first, *MergedRows(cluster, kTailClosure));
   uint64_t rpc_after_first = source.stats().remote_ops;
   uint64_t hits_after_first = source.stats().cache_hits;
   EXPECT_GT(rpc_after_first, 0u);
@@ -143,7 +113,7 @@ TEST(FederatedCacheTest, RepeatedQueriesAreServedFromTheCache) {
 
   // The same query again: every edge list and attribute set is cached, so
   // the only new RPCs are the (uncached) root-set scatter.
-  auto second = RunQuery(&source, kTailClosure);
+  auto second = pql::Engine(&source).Run(kTailClosure)->SortedRows();
   EXPECT_EQ(second, first);
   uint64_t scatter = static_cast<uint64_t>(cluster.shard_count()) - 1;
   EXPECT_EQ(source.stats().remote_ops, rpc_after_first + scatter);
@@ -159,8 +129,8 @@ TEST(FederatedCacheTest, MigrationInvalidatesWarmCacheAndReRoutes) {
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
-  auto before = RunQuery(&source, kTailClosure);
-  EXPECT_EQ(before, MergedAnswer(&cluster, kTailClosure));
+  auto before = pql::Engine(&source).Run(kTailClosure)->SortedRows();
+  EXPECT_EQ(before, *MergedRows(cluster, kTailClosure));
   EXPECT_GT(source.cache_bytes_used(), 0u);
   uint64_t invalidated = source.stats().cache_entries_invalidated;
   uint64_t epoch = cluster.shard_map().epoch();
@@ -175,9 +145,9 @@ TEST(FederatedCacheTest, MigrationInvalidatesWarmCacheAndReRoutes) {
   // Same source object, post-migration: entries in the migrated range are
   // dropped (and only those — no full flush) and the query re-routes
   // through the live map to the new owner.
-  auto after = RunQuery(&source, kTailClosure);
+  auto after = pql::Engine(&source).Run(kTailClosure)->SortedRows();
   EXPECT_EQ(after, before);
-  EXPECT_EQ(after, MergedAnswer(&cluster, kTailClosure));
+  EXPECT_EQ(after, *MergedRows(cluster, kTailClosure));
   EXPECT_GT(source.stats().cache_entries_invalidated, invalidated);
   EXPECT_EQ(source.stats().cache_invalidations_full, 0u);
 }
@@ -195,7 +165,7 @@ TEST(FederatedCacheTest, IngestInvalidatesStaleEdgeLists) {
   // Portal on shard 1: /a lives on shard 0, so its reverse-edge list is a
   // remote lookup the portal caches.
   FederatedSource source = cluster.Source(/*portal_shard=*/1);
-  auto before = RunQuery(&source, descendants);
+  auto before = pql::Engine(&source).Run(descendants)->SortedRows();
   EXPECT_EQ(before.size(), 2u);  // /a and /b
 
   // New lineage lands after the cache warmed: /c (on shard 1) descends from
@@ -203,9 +173,9 @@ TEST(FederatedCacheTest, IngestInvalidatesStaleEdgeLists) {
   // cached pre-sync edge list.
   ASSERT_TRUE(cluster.WriteWithLineage(1, "/c", "ccc", {*a}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
-  auto after = RunQuery(&source, descendants);
+  auto after = pql::Engine(&source).Run(descendants)->SortedRows();
   EXPECT_EQ(after.size(), 3u);
-  EXPECT_EQ(after, MergedAnswer(&cluster, descendants));
+  EXPECT_EQ(after, *MergedRows(cluster, descendants));
 }
 
 TEST(FederatedCacheTest, TinyCacheEvictsButStaysCorrect) {
@@ -215,8 +185,8 @@ TEST(FederatedCacheTest, TinyCacheEvictsButStaysCorrect) {
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0,
                                           /*cache_bytes=*/256);
-  auto got = RunQuery(&source, kTailClosure);
-  EXPECT_EQ(got, MergedAnswer(&cluster, kTailClosure));
+  auto got = pql::Engine(&source).Run(kTailClosure)->SortedRows();
+  EXPECT_EQ(got, *MergedRows(cluster, kTailClosure));
   EXPECT_GT(source.stats().cache_evictions, 0u);
   EXPECT_LE(source.cache_bytes_used(), 256u);
 }
@@ -228,16 +198,17 @@ TEST(FederatedCacheTest, ZeroBudgetDisablesCaching) {
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0,
                                           /*cache_bytes=*/0);
-  auto got = RunQuery(&source, kTailClosure);
-  EXPECT_EQ(got, MergedAnswer(&cluster, kTailClosure));
+  auto got = pql::Engine(&source).Run(kTailClosure)->SortedRows();
+  EXPECT_EQ(got, *MergedRows(cluster, kTailClosure));
   EXPECT_EQ(source.stats().cache_hits, 0u);
   EXPECT_EQ(source.cache_bytes_used(), 0u);
 }
 
 // Tentpole acceptance: ingest that only touches a foreign shard must leave
 // the portal's warm entries alone — the fingerprint check is per entry, so
-// unrelated churn costs nothing. The legacy whole-cache mode drops
-// everything on the same churn (the baseline fig9 measures against).
+// unrelated churn costs nothing. A cache without fingerprints would have to
+// start over after the same churn, which is what a freshly built source does
+// (the whole-cache-flush baseline fig6 and fig9 measure against).
 TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   ClusterCoordinator cluster(SmallCluster(4));
   // Chain over shards 0-2 only: shard 3 is pure churn, so no cached pnode
@@ -246,10 +217,8 @@ TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource fine = cluster.Source(/*portal_shard=*/0);
-  FederatedSource flush = cluster.Source(/*portal_shard=*/0);
-  flush.set_whole_cache_invalidation(true);
-  auto before = RunQuery(&fine, kTailClosure);
-  EXPECT_EQ(before, RunQuery(&flush, kTailClosure));
+  auto before = pql::Engine(&fine).Run(kTailClosure)->SortedRows();
+  EXPECT_EQ(before, *MergedRows(cluster, kTailClosure));
 
   // Churn: new lineage-free files on shard 3 only. The chain's pnodes and
   // rows are untouched; only shard 3 buckets outside the chain move.
@@ -261,17 +230,16 @@ TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   ASSERT_TRUE(cluster.Sync().ok());
 
   fine.ResetStats();
-  flush.ResetStats();
-  auto fine_after = RunQuery(&fine, kTailClosure);
-  auto flush_after = RunQuery(&flush, kTailClosure);
+  FederatedSource fresh = cluster.Source(/*portal_shard=*/0);
+  auto fine_after = pql::Engine(&fine).Run(kTailClosure)->SortedRows();
+  auto fresh_after = pql::Engine(&fresh).Run(kTailClosure)->SortedRows();
   EXPECT_EQ(fine_after, before);
-  EXPECT_EQ(flush_after, before);
+  EXPECT_EQ(fresh_after, before);
   // Fine-grained: the warm entries survived — no invalidation of either
-  // kind, and strictly fewer misses than the flushed baseline.
+  // kind, and strictly fewer misses than the rebuilt baseline.
   EXPECT_EQ(fine.stats().cache_entries_invalidated, 0u);
   EXPECT_EQ(fine.stats().cache_invalidations_full, 0u);
-  EXPECT_GT(flush.stats().cache_invalidations_full, 0u);
-  EXPECT_LT(fine.stats().cache_misses, flush.stats().cache_misses);
+  EXPECT_LT(fine.stats().cache_misses, fresh.stats().cache_misses);
 }
 
 // Ingest that *does* mutate a cached pnode's rows must drop exactly that
@@ -286,16 +254,16 @@ TEST(FederatedCacheTest, FingerprintCatchesMutationOfCachedRange) {
       "select D from Provenance.file as F F.~input* as D "
       "where F.name = \"/a\"";
   FederatedSource source = cluster.Source(/*portal_shard=*/1);
-  auto before = RunQuery(&source, descendants);
+  auto before = pql::Engine(&source).Run(descendants)->SortedRows();
   EXPECT_EQ(before.size(), 1u);
 
   // /b descends from /a: replication inserts a reverse-index row keyed by
   // /a's pnode on shard 0, moving its bucket fingerprint.
   ASSERT_TRUE(cluster.WriteWithLineage(1, "/b", "bbb", {*a}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
-  auto after = RunQuery(&source, descendants);
+  auto after = pql::Engine(&source).Run(descendants)->SortedRows();
   EXPECT_EQ(after.size(), 2u);
-  EXPECT_EQ(after, MergedAnswer(&cluster, descendants));
+  EXPECT_EQ(after, *MergedRows(cluster, descendants));
   EXPECT_GT(source.stats().cache_entries_invalidated, 0u);
   EXPECT_EQ(source.stats().cache_invalidations_full, 0u);
 }
@@ -309,7 +277,8 @@ TEST(FederatedCacheTest, WarmCacheProbesAreAllocationFree) {
   ASSERT_TRUE(cluster.Sync().ok());
 
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
-  RunQuery(&source, kTailClosure);  // warm every edge list + name set
+  // Warm every edge list + name set.
+  ASSERT_TRUE(pql::Engine(&source).Run(kTailClosure).ok());
   FederatedSourceTestPeer peer(&source);
   uint32_t name_id = peer.Intern("name");  // intern outside the counted loop
   uint64_t hits_before = source.stats().cache_hits;
@@ -334,7 +303,7 @@ TEST(FederatedCacheTest, CachedAndUncachedByteAccountingBalance) {
   uint64_t net_before = cluster.network().stats().bytes_sent +
                         cluster.network().stats().bytes_received;
   FederatedSource source = cluster.Source(/*portal_shard=*/0);
-  RunQuery(&source, kTailClosure);
+  ASSERT_TRUE(pql::Engine(&source).Run(kTailClosure).ok());
   uint64_t net_after = cluster.network().stats().bytes_sent +
                        cluster.network().stats().bytes_received;
   // Remote request/response bytes are exactly what hit the wire; local

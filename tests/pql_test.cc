@@ -414,9 +414,9 @@ TEST(PqlLimitsTest, BindingExplosionIsBounded) {
                core::Record::Type("FILE")});
   }
   ProvDbSource source(&db);
-  EvalLimits limits;
-  limits.max_bindings = 100;
-  Engine engine(&source, limits);
+  QueryOptions options;
+  options.limits.max_bindings = 100;
+  Engine engine(&source, options);
   // 64 x 64 = 4096 bindings > 100.
   auto result = engine.Run(
       "select a from Provenance.file as a Provenance.file as b");
