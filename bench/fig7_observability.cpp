@@ -36,7 +36,6 @@
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
 #include "src/obs/obs.h"
-#include "src/obs/stats_bridge.h"
 #include "src/pql/eval.h"
 #include "src/util/logging.h"
 
@@ -166,14 +165,7 @@ ScenarioResult RunScenario(int shards, const std::string& workload,
   out.sim_ns = cluster.env().clock().now();
   out.spans = trace.spans().size();
   if (tracing && want_exports) {
-    // Fold the legacy stats structs into the registry so the CSV shows
-    // every layer's counters next to the span histograms.
-    pass::obs::MetricRegistry& reg = cluster.env().obs().metrics();
-    pass::obs::Publish(&reg, cluster.ingest_stats());
-    pass::obs::Publish(&reg, cluster.migration_stats());
-    pass::obs::Publish(&reg, cluster.network().stats());
-    pass::obs::Publish(&reg, source.stats());
-    out.metrics_csv = reg.DumpCsv();
+    out.metrics_csv = cluster.env().obs().metrics().DumpCsv();
     out.trace_json = trace.ChromeTraceJson();
   }
   return out;
@@ -198,8 +190,8 @@ int main(int argc, char** argv) {
   const std::string kWorkloads[] = {"compile", "postmark"};
 
   // csv,fig7,<shards>,<workload>,<kind>,<name>,<labels>,<count>,
-  //   <sum|value>,<min>,<max>,<p50>,<p90>,<p99>   (nanos; gauges/counters
-  //   put their value in the sum column, histogram-only columns empty)
+  //   <sum|value>,<min>,<max>,<p50>,<p90>,<p99>   (nanos; counters put
+  //   their value in the sum column, histogram-only columns empty)
   std::string csv;
   std::string featured_trace;
   double wall_off = 0;

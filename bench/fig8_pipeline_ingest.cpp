@@ -121,7 +121,8 @@ RunResult Run(int shards, int round_files, int rounds, bool pipelined) {
   out.group_commits = cluster.ingest_stats().group_commits;
   out.group_frames = cluster.ingest_stats().group_frames;
   out.rtts = cluster.ingest_stats().batches_sent;
-  out.wire_bytes = cluster.ingest_stats().wire_bytes();
+  out.wire_bytes =
+      cluster.ingest_stats().bytes_sent + cluster.migration_stats().bytes;
 
   // Gate 1: the pipelined view drifts from nothing — federated == merged.
   std::string query =

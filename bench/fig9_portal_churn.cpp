@@ -34,7 +34,6 @@
 #include "src/cluster/cluster.h"
 #include "src/cluster/portal.h"
 #include "src/core/libpass.h"
-#include "src/obs/stats_bridge.h"
 #include "src/util/logging.h"
 
 namespace {
@@ -218,8 +217,6 @@ CellResult RunCell(int sessions, int churn_writes, size_t cache_bytes,
   out.flush_full = flush.full_flushes();
   out.p50_ns = Percentile(latencies, 0.50);
   out.p99_ns = Percentile(latencies, 0.99);
-  tier.PublishMetrics();
-  pass::obs::Publish(&env.obs().metrics(), tier.admission_stats());
   return out;
 }
 
@@ -326,8 +323,6 @@ void RunAdmissionPhase(std::string* csv) {
   PASS_CHECK(stats.rejected_budget == 1);
   PASS_CHECK(stats.queued == 2);
   PASS_CHECK(stats.admitted_from_queue == 1);
-  tier.PublishMetrics();
-  pass::obs::Publish(&fixture.cluster->env().obs().metrics(), stats);
 
   std::printf("admission: admitted=%llu rejected_quota=%llu "
               "rejected_budget=%llu queued=%llu admitted_from_queue=%llu\n",

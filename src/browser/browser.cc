@@ -74,7 +74,6 @@ Result<std::string> Browser::Visit(const std::string& url) {
   for (int hops = 0; hops < 8; ++hops) {
     PASS_ASSIGN_OR_RETURN(const WebPage* page, web_->Fetch(at));
     ChargeFetch(page->content.size());
-    ++browser_stats_.pages_visited;
     history_.push_back(at);
     // VISITED_URL: dependency between the session and the URL (§6.3),
     // recording the sequence of pages leading to any later download.
@@ -98,7 +97,6 @@ Status Browser::Download(const std::string& url,
   }
   PASS_ASSIGN_OR_RETURN(const WebPage* page, web_->Fetch(url));
   ChargeFetch(page->content.size());
-  ++browser_stats_.downloads;
 
   PASS_ASSIGN_OR_RETURN(core::ObjectRef session_ref, lib_.Ref(*session_));
   // The three download records of §6.3 plus the data, in one pass_write.

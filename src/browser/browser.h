@@ -50,9 +50,7 @@ class SimWeb {
 };
 
 struct BrowserStats {
-  uint64_t pages_visited = 0;
   uint64_t redirects_followed = 0;
-  uint64_t downloads = 0;
 };
 
 class Browser {

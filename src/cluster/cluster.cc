@@ -120,9 +120,7 @@ Status ClusterCoordinator::Sync() {
     }
   }
   sync_span.End();
-  obs::MetricRegistry& metrics = env_.obs().metrics();
-  metrics.GetCounter("cluster.syncs").Add();
-  metrics.GetHistogram("cluster.sync_ns")
+  env_.obs().metrics().GetHistogram("cluster.sync_ns")
       .Record(env_.clock().now() - sync_start);
   return Status::Ok();
 }
@@ -298,9 +296,7 @@ Result<ClusterRecoveryReport> ClusterCoordinator::Recover() {
   report.shard_map_epoch = shard_map_.epoch();
   report.recovery_seconds = env_.clock().seconds() - start_seconds;
   recover_span.End();
-  obs::MetricRegistry& metrics = env_.obs().metrics();
-  metrics.GetCounter("cluster.recoveries").Add();
-  metrics.GetHistogram("cluster.recover_ns")
+  env_.obs().metrics().GetHistogram("cluster.recover_ns")
       .Record(env_.clock().now() - recover_start);
   return report;
 }
@@ -437,9 +433,7 @@ Result<MigrationReport> ClusterCoordinator::MigrateRange(core::PnodeRange range,
     commit_span.End();
   }
   migrate_span.End();
-  obs::MetricRegistry& metrics = env_.obs().metrics();
-  metrics.GetCounter("cluster.migrations").Add();
-  metrics.GetHistogram("cluster.migrate_ns")
+  env_.obs().metrics().GetHistogram("cluster.migrate_ns")
       .Record(env_.clock().now() - migrate_start);
 
   ++migration_stats_.migrations;

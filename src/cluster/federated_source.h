@@ -109,12 +109,11 @@ class FederatedSource : public pql::GraphSource {
   std::string NodeLabel(const pql::Node& node) const override;
 
   const FederatedStats& stats() const { return stats_; }
-  // Uniform with Disk/Net/Lasagna/IngestQueue: zero the counters so benches
-  // can measure phases (the cache itself is untouched — only the counters
-  // reset, so a warm-cache phase reports pure-hit numbers).
+  // Zero the counters so benches can measure phases (the cache itself is
+  // untouched — only the counters reset, so a warm-cache phase reports
+  // pure-hit numbers).
   void ResetStats() { stats_ = FederatedStats(); }
   size_t cache_bytes_used() const { return cache_bytes_; }
-  size_t cache_capacity() const { return cache_capacity_; }
 
  private:
   friend class FederatedSourceTestPeer;  // zero-alloc probe assertions

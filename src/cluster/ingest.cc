@@ -26,7 +26,6 @@ obs::Labels ShardLabel(int shard) {
 }  // namespace
 
 void IngestQueue::Offer(int source_shard, const lasagna::LogEntry& entry) {
-  ++stats_.entries_examined;
   int subject_owner = map_->OwnerOf(entry.subject.pnode);
   if (subject_owner >= 0 && subject_owner != source_shard) {
     Enqueue(subject_owner, entry);
@@ -68,7 +67,6 @@ void IngestQueue::Seal(int destination) {
 }
 
 void IngestQueue::RecordAck(const SealedBatch& batch) {
-  ++stats_.batches_acked;
   env_->obs()
       .metrics()
       .GetHistogram("ingest.ack_ns")
@@ -176,9 +174,8 @@ void IngestQueue::Flush() {
     stats_.group_frames += frames;
   }
   ready_.clear();
-  obs::MetricRegistry& metrics = env_->obs().metrics();
-  metrics.GetCounter("ingest.flushes").Add();
-  metrics.GetHistogram("ingest.flush_ns").Record(Now() - flush_start);
+  env_->obs().metrics().GetHistogram("ingest.flush_ns").Record(Now() -
+                                                               flush_start);
 }
 
 sim::Nanos IngestQueue::Quiesce() {
@@ -269,9 +266,6 @@ IngestQueue::ShipReport IngestQueue::ShipTo(
         .GetHistogram("migrate.ship_chunk_ns", ShardLabel(destination))
         .Record(Now() - chunk_start);
   }
-  stats_.migrate_batches += report.batches;
-  stats_.migrate_bytes += report.bytes;
-  stats_.migrate_entries += report.entries_shipped + report.entries_skipped;
   return report;
 }
 

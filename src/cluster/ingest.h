@@ -46,9 +46,9 @@
 // coordinator moves a pnode range between shards. ShipTo stays synchronous
 // (migration is a quiesced foreground protocol) and needs no batch
 // journaling of its own — the journaled MIGRATE_BEGIN/COPIED/COMMIT phases
-// protect it and recovery re-runs it from the source rows — but its wire
-// traffic is accounted in IngestStats (migrate_*) so benches can total
-// every byte the cluster put on the wire from one struct.
+// protect it and recovery re-runs it from the source rows. Its wire traffic
+// is returned in the ShipReport, which MigrateRange folds into the
+// coordinator's MigrationStats; IngestStats counts replication only.
 
 #include <cstdint>
 #include <deque>
@@ -66,21 +66,12 @@ namespace pass::cluster {
 class ClusterJournal;
 
 struct IngestStats {
-  uint64_t entries_examined = 0;    // everything offered to the queue
   uint64_t entries_replicated = 0;  // copies delivered to remote shards
   uint64_t batches_sent = 0;        // network round trips charged
   uint64_t bytes_sent = 0;          // encoded batch payload bytes
   // Group-committed journal appends (the pipelined foreground ack path).
   uint64_t group_commits = 0;  // coalesced REPL_BATCH journal writes
   uint64_t group_frames = 0;   // REPL_BATCH frames across those writes
-  uint64_t batches_acked = 0;  // batches acked back to the workload
-  // Migration traffic (ShipTo).
-  uint64_t migrate_batches = 0;  // ShipTo round trips charged
-  uint64_t migrate_bytes = 0;    // ShipTo payload bytes on the wire
-  uint64_t migrate_entries = 0;  // entries ShipTo put on the wire
-
-  // Every payload byte the queue put on the wire, replication + migration.
-  uint64_t wire_bytes() const { return bytes_sent + migrate_bytes; }
 };
 
 class IngestQueue {
@@ -149,20 +140,13 @@ class IngestQueue {
   // round trip per chunk. The sender cannot know the receiver's state, so
   // every entry crosses the wire; the destination skips rows it already
   // holds (earlier replication makes migration re-send some). Synchronous:
-  // bypasses the per-destination pending queues; accounted under the
-  // IngestStats migrate_* counters.
+  // bypasses the per-destination pending queues and IngestStats.
   ShipReport ShipTo(int destination,
                     const std::vector<lasagna::LogEntry>& entries);
 
   const IngestStats& stats() const { return stats_; }
   // The background replication channel (overlap accounting for benches).
   const sim::AsyncTimeline& timeline() const { return timeline_; }
-  // Uniform with Disk/Net/Lasagna/FederatedSource: zero the counters so
-  // benches can measure phases instead of cumulative totals.
-  void ResetStats() {
-    stats_ = IngestStats();
-    timeline_.ResetStats();
-  }
 
  private:
   // One batch sealed for shipment: its entries plus the enqueue timestamp

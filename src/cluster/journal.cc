@@ -106,8 +106,6 @@ size_t ClusterJournal::CommitGroup() {
   size_t frames = static_cast<size_t>(group_pending_frames_);
   if (frames > 0) {
     WriteFrames(group_buf_, group_pending_frames_);
-    ++group_commits_;
-    group_frames_ += group_pending_frames_;
     // The coalesced write is durable: the staged chain becomes the head.
     chain_head_ = staged_chain_;
     chain_frames_ = staged_frames_;

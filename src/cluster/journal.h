@@ -121,8 +121,6 @@ class ClusterJournal {
   size_t CommitGroup();
   void AbortGroup();
   bool InGroup() const { return group_open_; }
-  uint64_t group_commits() const { return group_commits_; }
-  uint64_t group_frames() const { return group_frames_; }
 
   // Journal a replication batch bound for `destination`; returns its id.
   uint64_t AppendReplBatch(int destination,
@@ -181,8 +179,6 @@ class ClusterJournal {
   uint64_t chain_frames_ = 0;
   lasagna::ChainHash staged_chain_{};  // chain including buffered group frames
   uint64_t staged_frames_ = 0;
-  uint64_t group_commits_ = 0;
-  uint64_t group_frames_ = 0;
 };
 
 }  // namespace pass::cluster

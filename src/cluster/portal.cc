@@ -191,12 +191,4 @@ size_t PortalTier::tenant_bytes_reserved(const std::string& tenant) const {
   return it == reserved_by_tenant_.end() ? 0 : it->second;
 }
 
-void PortalTier::PublishMetrics() {
-  obs::MetricRegistry& m = cluster_->env().obs().metrics();
-  m.GetGauge("portal.sessions_open")
-      .Set(static_cast<int64_t>(sessions_.size()));
-  m.GetGauge("portal.bytes_reserved").Set(static_cast<int64_t>(reserved_));
-  m.GetGauge("portal.queue_depth").Set(static_cast<int64_t>(queue_.size()));
-}
-
 }  // namespace pass::cluster

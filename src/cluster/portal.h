@@ -34,7 +34,7 @@
 //     when a session closes, or rejected when the queue is full. One hot
 //     tenant can therefore never evict another tenant's cache — sessions
 //     own disjoint reservations. PortalAdmissionStats accounts every
-//     decision and obs::Publish surfaces it as portal.admission.* metrics.
+//     decision.
 //
 // Limitation: pins do not survive a coordinator crash — Recover() forgets
 // them and rolls deferred deletes forward, so sessions opened before a
@@ -199,11 +199,6 @@ class PortalTier {
   size_t bytes_reserved() const { return reserved_; }
   size_t tenant_bytes_reserved(const std::string& tenant) const;
   const PortalAdmissionStats& admission_stats() const { return stats_; }
-
-  // Snapshot portal.* gauges (sessions open, bytes reserved, queue depth)
-  // into the cluster's metric registry; obs::Publish(registry,
-  // admission_stats()) bridges the admission counters alongside.
-  void PublishMetrics();
 
  private:
   size_t QuotaOf(const std::string& tenant) const;

@@ -134,7 +134,7 @@ void StandingQueryTier::AnalyzeExpr(const pql::Expr& expr,
   }
 }
 
-void StandingQueryTier::AnalyzeQuery(const pql::Query& query, bool outermost,
+void StandingQueryTier::AnalyzeQuery(const pql::Query& query,
                                      const pql::GraphSource* source,
                                      QueryShape* shape) {
   // Root restriction replaces exactly froms[0]'s Provenance root set (per
@@ -156,9 +156,8 @@ void StandingQueryTier::AnalyzeQuery(const pql::Query& query, bool outermost,
     AnalyzeExpr(*query.where, source, shape);
   }
   if (query.union_with != nullptr) {
-    AnalyzeQuery(*query.union_with, false, source, shape);
+    AnalyzeQuery(*query.union_with, source, shape);
   }
-  (void)outermost;
 }
 
 // ---- Registration -----------------------------------------------------------
@@ -177,7 +176,7 @@ Result<uint64_t> StandingQueryTier::Register(std::string_view text,
   query->text = std::string(text);
   query->ast = std::move(ast);
   query->options = std::move(options);
-  AnalyzeQuery(*query->ast, /*outermost=*/true, &source_, &query->shape);
+  AnalyzeQuery(*query->ast, &source_, &query->shape);
   uint64_t id = query->id;
   queries_.emplace(id, std::move(query));
   return id;
@@ -300,13 +299,11 @@ Status StandingQueryTier::EvalAndMerge(StandingQuery* query,
 
   uint64_t rows_cost =
       meter_.rows_touched() - rows_before + restricted_rows;
-  uint64_t rpc_cost = source_.stats().remote_ops - rpcs_before;
   if (seed) {
     stats_.seed_rows_touched += rows_cost;
-    stats_.seed_rpcs += rpc_cost;
   } else {
     stats_.rows_touched += rows_cost;
-    stats_.eval_rpcs += rpc_cost;
+    stats_.eval_rpcs += source_.stats().remote_ops - rpcs_before;
   }
   return Status::Ok();
 }
@@ -365,19 +362,7 @@ Result<std::vector<StandingNotification>> StandingQueryTier::Refresh() {
     query->notified = std::move(present);
   }
   stats_.notifications += notes.size();
-  PublishMetrics();
   return notes;
-}
-
-std::set<std::vector<std::string>> StandingQueryTier::PresentKeys(
-    const StandingQuery& query) const {
-  std::set<std::vector<std::string>> present;
-  for (const auto& [root, rows] : query.rows_by_root) {
-    for (const auto& [key, row] : rows) {
-      present.insert(key);
-    }
-  }
-  return present;
 }
 
 Result<pql::QueryResult> StandingQueryTier::ResultOf(uint64_t id) const {
@@ -401,24 +386,6 @@ Result<pql::QueryResult> StandingQueryTier::ResultOf(uint64_t id) const {
     out.rows.push_back(*row);
   }
   return out;
-}
-
-void StandingQueryTier::PublishMetrics() {
-  obs::MetricRegistry& m = cluster_->env().obs().metrics();
-  m.GetGauge("standing.queries").Set(static_cast<int64_t>(queries_.size()));
-  m.GetGauge("standing.refreshes").Set(static_cast<int64_t>(stats_.refreshes));
-  m.GetGauge("standing.frontier_entries")
-      .Set(static_cast<int64_t>(stats_.frontier_entries));
-  m.GetGauge("standing.affected_roots")
-      .Set(static_cast<int64_t>(stats_.affected_roots));
-  m.GetGauge("standing.rows_touched")
-      .Set(static_cast<int64_t>(stats_.rows_touched));
-  m.GetGauge("standing.notifications")
-      .Set(static_cast<int64_t>(stats_.notifications));
-  m.GetGauge("standing.full_evals")
-      .Set(static_cast<int64_t>(stats_.full_evals));
-  m.GetGauge("standing.walk_overflows")
-      .Set(static_cast<int64_t>(stats_.walk_overflows));
 }
 
 }  // namespace pass::cluster

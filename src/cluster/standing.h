@@ -102,10 +102,6 @@ class MeteredSource : public pql::GraphSource {
 
   uint64_t rows_touched() const { return rows_; }
   uint64_t ops() const { return ops_; }
-  void Reset() {
-    rows_ = 0;
-    ops_ = 0;
-  }
 
  private:
   const pql::GraphSource* inner_;
@@ -136,7 +132,6 @@ struct StandingStats {
   uint64_t eval_rpcs = 0;
   // ...vs the one-time cost of seeding each query's first evaluation.
   uint64_t seed_rows_touched = 0;
-  uint64_t seed_rpcs = 0;
   uint64_t notifications = 0;
 };
 
@@ -171,11 +166,7 @@ class StandingQueryTier {
   Result<bool> IsIncremental(uint64_t id) const;
 
   const StandingStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = StandingStats(); }
   const FederatedSource& source() const { return source_; }
-
-  // Snapshot standing.* gauges/counters into the cluster metric registry.
-  void PublishMetrics();
 
  private:
   friend class RestrictedRootSource;
@@ -211,7 +202,7 @@ class StandingQueryTier {
     std::set<std::vector<std::string>> notified;
   };
 
-  static void AnalyzeQuery(const pql::Query& query, bool outermost,
+  static void AnalyzeQuery(const pql::Query& query,
                            const pql::GraphSource* source, QueryShape* shape);
   static void AnalyzeExpr(const pql::Expr& expr,
                           const pql::GraphSource* source, QueryShape* shape);
@@ -227,10 +218,6 @@ class StandingQueryTier {
   // result into rows_by_root, replacing every affected root's rows.
   Status EvalAndMerge(StandingQuery* query,
                       const std::set<core::PnodeId>* roots, bool seed);
-
-  // Distinct row keys currently present for a query.
-  std::set<std::vector<std::string>> PresentKeys(
-      const StandingQuery& query) const;
 
   ClusterCoordinator* cluster_;
   int portal_shard_;

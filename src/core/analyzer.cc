@@ -113,7 +113,6 @@ void Analyzer::AddDependencyRef(PnodeId dst, const ObjectRef& src_ref,
         ++stats_.duplicates_dropped;  // internal edge of a merged entity
         return;
       }
-      ++stats_.cycle_checks;
       if (PathExists(src_root, dst_root)) {
         // Adding dst -> src would close a cycle: merge the entities (the
         // PASSv1 approach the paper calls "challenging").

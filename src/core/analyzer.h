@@ -49,7 +49,6 @@ struct AnalyzerStats {
   uint64_t self_edges_dropped = 0;
   uint64_t freezes = 0;
   uint64_t cycles_merged = 0;   // kDetectAndMerge only
-  uint64_t cycle_checks = 0;    // graph searches (kDetectAndMerge)
   uint64_t edges_accepted = 0;
 };
 

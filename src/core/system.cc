@@ -297,7 +297,6 @@ void PassSystem::OnOpen(os::Process& proc, os::OpenFile& file) {
 }
 
 void PassSystem::OnMmap(os::Process& proc, os::OpenFile& file, bool writable) {
-  ++observer_stats_.mmaps;
   ObjState& fstate = FileState(file);
   ObjState& pstate = ProcState(proc);
   auto router = RouterInto(nullptr);
@@ -331,7 +330,6 @@ void PassSystem::OnRename(const std::string& from, const std::string& to) {
 
 void PassSystem::OnDropInode(os::FileSystem* fs, const std::string& path,
                              const os::VnodeRef& vnode) {
-  ++observer_stats_.drop_inodes;
   ObjState& state = VnodeState(fs, vnode, path);
   state.dropped = true;
   // Provenance outlives the object (deleted files can still be queried);
@@ -385,7 +383,6 @@ Result<PassObject> PassSystem::Reviveobj(PnodeId pnode, Version version,
 void PassSystem::DiscloseCommon(os::Pid pid, ObjState& target,
                                 const std::vector<Record>& records,
                                 Bundle* bundle) {
-  ++observer_stats_.disclosures;
   auto router = RouterInto(bundle);
   auto freeze = FreezeFnFor(target);
   // The observer adds the dependency between the disclosing application and

@@ -42,10 +42,7 @@ struct ObserverStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
   uint64_t pipes = 0;
-  uint64_t mmaps = 0;
   uint64_t renames = 0;
-  uint64_t drop_inodes = 0;
-  uint64_t disclosures = 0;  // DPAPI calls from provenance-aware apps
 };
 
 struct PassSystemOptions {

@@ -88,7 +88,6 @@ Status KeplerEngine::Run() {
   bool progress = true;
   while (progress) {
     progress = false;
-    ++kepler_stats_.rounds;
     for (auto& op : operators_) {
       PASS_ASSIGN_OR_RETURN(bool fired, op->Fire(*this));
       if (fired) {

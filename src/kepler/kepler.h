@@ -92,7 +92,6 @@ class Operator {
 struct KeplerStats {
   uint64_t firings = 0;
   uint64_t token_transfers = 0;
-  uint64_t rounds = 0;
 };
 
 class KeplerEngine {

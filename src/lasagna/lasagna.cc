@@ -201,7 +201,6 @@ Result<os::VnodeRef> LasagnaFs::PassMkobj() {
   core::PnodeId pnode = allocator_->Allocate();
   auto phantom = std::make_shared<PhantomVnode>(this, pnode);
   phantoms_[pnode] = phantom;
-  ++lasagna_stats_.mkobjs;
   return os::VnodeRef(phantom);
 }
 
@@ -221,7 +220,6 @@ Result<os::VnodeRef> LasagnaFs::PassReviveobj(core::PnodeId pnode,
 }
 
 Status LasagnaFs::PassProv(const core::Bundle& bundle) {
-  ++lasagna_stats_.prov_only_writes;
   return AppendTxn(bundle, core::ObjectRef{}, /*data_path=*/"", 0, "");
 }
 

@@ -59,12 +59,10 @@ struct LogChainState {
 struct LasagnaStats {
   uint64_t pass_writes = 0;
   uint64_t pass_reads = 0;
-  uint64_t prov_only_writes = 0;
   uint64_t records_logged = 0;
   uint64_t prov_bytes_logged = 0;
   uint64_t data_bytes_written = 0;
   uint64_t freezes = 0;
-  uint64_t mkobjs = 0;
   uint64_t txns = 0;
   uint64_t rotations = 0;
 };
@@ -193,9 +191,6 @@ class LasagnaFs : public os::FileSystem {
   }
 
   const LasagnaStats& lasagna_stats() const { return lasagna_stats_; }
-  // Uniform with Disk/Net/IngestQueue/FederatedSource: zero the counters so
-  // benches can measure phases instead of cumulative totals.
-  void ResetStats() { lasagna_stats_ = LasagnaStats(); }
   fs::MemFs* lower() { return lower_; }
   sim::Env* env() { return env_; }
 

@@ -201,7 +201,6 @@ Result<Interp::Flow> Interp::ExecBlock(const std::vector<StmtPtr>& block,
 
 Result<Interp::Flow> Interp::ExecStmt(const Stmt& stmt,
                                       std::shared_ptr<Scope> scope) {
-  ++minipy_stats_.statements;
   kernel_->env()->ChargeCpu(300);  // interpreter dispatch cost
   switch (stmt.kind) {
     case StmtKind::kExpr: {

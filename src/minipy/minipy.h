@@ -155,7 +155,6 @@ struct Scope {
 // ---- Interpreter ------------------------------------------------------------
 
 struct MiniPyStats {
-  uint64_t statements = 0;
   uint64_t calls = 0;
   uint64_t wrapped_calls = 0;
   uint64_t invocations_created = 0;

@@ -115,7 +115,6 @@ NfsResponse NfsServer::DoPassWrite(const NfsRequest& request) {
 }
 
 NfsResponse NfsServer::Handle(const NfsRequest& request) {
-  ++server_stats_.requests;
   env_->ChargeCpu(kServiceCpuNs);
   NfsResponse response;
   switch (request.op) {
@@ -244,7 +243,6 @@ NfsResponse NfsServer::Handle(const NfsRequest& request) {
       if (!txn.ok()) {
         return NfsResponse::From(txn.status());
       }
-      ++server_stats_.txns_started;
       response.txn_id = *txn;
       return response;
     }

@@ -15,9 +15,7 @@
 namespace pass::nfs {
 
 struct NfsServerStats {
-  uint64_t requests = 0;
   uint64_t pass_writes = 0;
-  uint64_t txns_started = 0;
   uint64_t txns_committed = 0;
   uint64_t freezes_applied = 0;
 };

@@ -8,6 +8,21 @@
 
 namespace pass::obs {
 
+namespace {
+
+// Append `text` with the rendering's separators (and '%' itself) escaped.
+void AppendEscaped(std::string* out, const std::string& text) {
+  for (char c : text) {
+    if (c == '%' || c == ',' || c == ';' || c == '=') {
+      *out += StrFormat("%%%02X", static_cast<unsigned char>(c));
+    } else {
+      *out += c;
+    }
+  }
+}
+
+}  // namespace
+
 std::string CanonicalLabels(Labels labels) {
   std::sort(labels.begin(), labels.end());
   std::string out;
@@ -15,9 +30,9 @@ std::string CanonicalLabels(Labels labels) {
     if (!out.empty()) {
       out += ';';
     }
-    out += key;
+    AppendEscaped(&out, key);
     out += '=';
-    out += value;
+    AppendEscaped(&out, value);
   }
   return out;
 }
@@ -71,72 +86,19 @@ Counter& MetricRegistry::GetCounter(std::string_view name, Labels labels) {
   return counters_[Key(std::string(name), CanonicalLabels(std::move(labels)))];
 }
 
-Gauge& MetricRegistry::GetGauge(std::string_view name, Labels labels) {
-  return gauges_[Key(std::string(name), CanonicalLabels(std::move(labels)))];
-}
-
 Histogram& MetricRegistry::GetHistogram(std::string_view name, Labels labels) {
   return histograms_[Key(std::string(name),
                          CanonicalLabels(std::move(labels)))];
 }
 
-void MetricRegistry::Reset() {
-  for (auto& [key, counter] : counters_) {
-    counter.Reset();
-  }
-  for (auto& [key, gauge] : gauges_) {
-    gauge.Reset();
-  }
-  for (auto& [key, histogram] : histograms_) {
-    histogram.Reset();
-  }
-}
-
-std::string MetricRegistry::DumpText() const {
-  // Merge the three sorted maps into one (name, labels)-sorted listing.
-  std::map<Key, std::string> lines;
-  for (const auto& [key, counter] : counters_) {
-    lines[key] = StrFormat(
-        "counter %s{%s} %llu", key.first.c_str(), key.second.c_str(),
-        static_cast<unsigned long long>(counter.value()));
-  }
-  for (const auto& [key, gauge] : gauges_) {
-    lines[key] = StrFormat("gauge %s{%s} %lld", key.first.c_str(),
-                           key.second.c_str(),
-                           static_cast<long long>(gauge.value()));
-  }
-  for (const auto& [key, histogram] : histograms_) {
-    lines[key] = StrFormat(
-        "histogram %s{%s} count=%llu sum=%llu min=%llu max=%llu p50=%.0f "
-        "p90=%.0f p99=%.0f",
-        key.first.c_str(), key.second.c_str(),
-        static_cast<unsigned long long>(histogram.count()),
-        static_cast<unsigned long long>(histogram.sum()),
-        static_cast<unsigned long long>(histogram.min()),
-        static_cast<unsigned long long>(histogram.max()),
-        histogram.Quantile(0.50), histogram.Quantile(0.90),
-        histogram.Quantile(0.99));
-  }
-  std::string out;
-  for (const auto& [key, line] : lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
 std::string MetricRegistry::DumpCsv() const {
+  // Merge the two sorted maps into one (name, labels)-sorted listing.
   std::map<Key, std::string> lines;
   for (const auto& [key, counter] : counters_) {
     lines[key] =
         StrFormat("csv,metric,counter,%s,%s,,%llu,,,,,", key.first.c_str(),
                   key.second.c_str(),
                   static_cast<unsigned long long>(counter.value()));
-  }
-  for (const auto& [key, gauge] : gauges_) {
-    lines[key] =
-        StrFormat("csv,metric,gauge,%s,%s,,%lld,,,,,", key.first.c_str(),
-                  key.second.c_str(), static_cast<long long>(gauge.value()));
   }
   for (const auto& [key, histogram] : histograms_) {
     lines[key] = StrFormat(

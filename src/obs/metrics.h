@@ -1,14 +1,17 @@
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
-// Metric registry: counters, gauges, and log-bucketed latency histograms,
-// keyed by name + labels (e.g. "ingest.flush_ns"{shard=2}).
+// Metric registry: counters and log-bucketed latency histograms, keyed by
+// name + labels (e.g. "ingest.flush_ns"{shard=2}).
 //
 // Everything here is *observation only*: recording a sample never advances
 // the sim clock — time is charged exclusively through the existing
 // ChargeCpu/disk/net paths, and the histograms merely measure the clock
-// deltas those charges produce. All iteration orders are sorted, so the
-// text/CSV exporters are deterministic: same seed, byte-identical dump.
+// deltas those charges produce. All iteration orders are sorted, so the CSV
+// exporter is deterministic: same seed, byte-identical dump.
+//
+// A count that a layer's stats struct already holds is not repeated here:
+// the registry keeps the distributions and the few counters no struct has.
 
 #include <array>
 #include <cstdint>
@@ -22,31 +25,22 @@ namespace pass::obs {
 
 // Label set identifying one time series of a metric. Order-insensitive:
 // {a=1,b=2} and {b=2,a=1} name the same series (keys are sorted into the
-// canonical form). Values must not contain ',' or '=' (they feed the CSV
-// exporter unescaped).
+// canonical form). Keys and values may contain the rendering's separators.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 // Canonical "k1=v1;k2=v2" rendering, sorted by key. Empty labels -> "".
+// '%', ',', ';' and '=' inside a key or value are percent-escaped ("%2C"),
+// so distinct label sets never share a series and a rendering is always
+// one CSV field.
 std::string CanonicalLabels(Labels labels);
 
 class Counter {
  public:
   void Add(uint64_t delta = 1) { value_ += delta; }
   uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
 
  private:
   uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void Set(int64_t value) { value_ = value; }
-  int64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  int64_t value_ = 0;
 };
 
 // Log-bucketed histogram over uint64 samples (latency nanos, byte counts).
@@ -76,8 +70,6 @@ class Histogram {
   static uint64_t BucketHigh(size_t i);
   const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
 
-  void Reset() { *this = Histogram(); }
-
  private:
   std::array<uint64_t, kBuckets> buckets_{};
   uint64_t count_ = 0;
@@ -92,27 +84,17 @@ class MetricRegistry {
   // (instrument once, hold the pointer) but callers on cold paths just call
   // these per event — a map walk, no allocation after the first.
   Counter& GetCounter(std::string_view name, Labels labels = {});
-  Gauge& GetGauge(std::string_view name, Labels labels = {});
   Histogram& GetHistogram(std::string_view name, Labels labels = {});
 
-  // Zero every registered metric (series registrations survive, so a dump
-  // after Reset still lists them). Benches use this to measure phases.
-  void Reset();
-
-  // One line per series, sorted by (name, labels):
-  //   counter ingest.batches{shard=1} 42
-  //   histogram sync.ns{} count=3 sum=... min=... max=... p50=... p90=... p99=...
-  std::string DumpText() const;
-
-  // Bench CSV convention, one "csv,metric,..." line per series:
+  // Bench CSV convention, one "csv,metric,..." line per series, sorted by
+  // (name, labels):
   //   csv,metric,<kind>,<name>,<labels>,<count>,<sum|value>,<min>,<max>,<p50>,<p90>,<p99>
-  // (counters/gauges leave the histogram-only columns empty).
+  // (counters leave the histogram-only columns empty).
   std::string DumpCsv() const;
 
  private:
   using Key = std::pair<std::string, std::string>;  // (name, canonical labels)
   std::map<Key, Counter> counters_;
-  std::map<Key, Gauge> gauges_;
   std::map<Key, Histogram> histograms_;
 };
 

@@ -9,7 +9,6 @@ Nanos AsyncTimeline::Schedule(Nanos cost_ns) {
   Nanos completion = start + cost_ns;
   channel_free_ = completion;
   completions_.push_back(completion);
-  ++stats_.scheduled;
   stats_.busy_ns += cost_ns;
   return completion;
 }

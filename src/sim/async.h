@@ -29,7 +29,6 @@
 namespace pass::sim {
 
 struct AsyncStats {
-  uint64_t scheduled = 0;  // operations queued on the channel
   Nanos busy_ns = 0;       // total background channel work scheduled
   Nanos exposed_ns = 0;    // clock actually charged at barriers and waits
   uint64_t drains = 0;     // quiesce barriers taken
@@ -75,7 +74,6 @@ class AsyncTimeline {
   void Reset();
 
   const AsyncStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = AsyncStats(); }
 
  private:
   void Expire();  // drop completions the clock has already passed

@@ -32,7 +32,6 @@ void Disk::Access(uint64_t addr, uint64_t len, bool write) {
     stats_.bytes_written += len;
   } else {
     ++stats_.reads;
-    stats_.bytes_read += len;
   }
   stats_.busy_ns += cost;
   clock_->Advance(cost);

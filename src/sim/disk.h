@@ -40,7 +40,6 @@ struct DiskParams {
 struct DiskStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
-  uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
   uint64_t seeks = 0;
   Nanos busy_ns = 0;
@@ -59,7 +58,6 @@ class Disk {
   void Sync();
 
   const DiskStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DiskStats(); }
 
   const DiskParams& params() const { return params_; }
 

@@ -46,7 +46,6 @@ class Network {
                        uint64_t response_bytes);
 
   const NetStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = NetStats(); }
 
  private:
   Clock* clock_;

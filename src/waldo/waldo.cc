@@ -7,7 +7,6 @@
 namespace pass::waldo {
 
 Status Waldo::Poll() {
-  ++waldo_stats_.polls;
   for (lasagna::LasagnaFs* volume : volumes_) {
     volume->MaybeRotateDormant();
     for (const std::string& path : volume->ClosedLogPaths()) {
@@ -44,11 +43,9 @@ Status Waldo::ProcessLog(lasagna::LasagnaFs* volume, const std::string& path) {
           std::get<int64_t>(entry.record.value));
       open[current_txn] = {};
       in_txn = true;
-      ++waldo_stats_.txn_markers_skipped;
       continue;
     }
     if (entry.record.attr == core::Attr::kEndTxn) {
-      ++waldo_stats_.txn_markers_skipped;
       auto blob = std::get<std::string>(entry.record.value);
       auto descriptor = lasagna::DecodeTxnDescriptor(blob);
       if (!descriptor.ok()) {

@@ -19,10 +19,8 @@
 namespace pass::waldo {
 
 struct WaldoStats {
-  uint64_t polls = 0;
   uint64_t logs_processed = 0;
   uint64_t entries_ingested = 0;
-  uint64_t txn_markers_skipped = 0;
   uint64_t orphans_discarded = 0;
   uint64_t truncated_logs = 0;
 };

@@ -103,7 +103,6 @@ Status AuditStreamGenerator::StreamRound() {
           StrFormat("w-s%d-r%d-p%d", shard, round_, p);
       PASS_RETURN_IF_ERROR(kernel.Exec(worker, "/tools/" + worker_name,
                                        {worker_name, "--scan"}));
-      ++stats_.processes;
 
       bool tainted = false;
       auto read_path = [&](const std::string& path) -> Status {
@@ -112,7 +111,6 @@ Status AuditStreamGenerator::StreamRound() {
         std::string data;
         PASS_RETURN_IF_ERROR(kernel.Read(worker, fd, 64, &data).status());
         PASS_RETURN_IF_ERROR(kernel.Close(worker, fd));
-        ++stats_.reads;
         if (tainted_files_.count(FileKey(shard, path)) != 0) {
           tainted = true;
         }
@@ -123,7 +121,6 @@ Status AuditStreamGenerator::StreamRound() {
         int pick = static_cast<int>(NextRand() % options_.taint_sources);
         PASS_RETURN_IF_ERROR(
             read_path(StrFormat("/intel/s%d-src%d", shard, pick)));
-        ++stats_.taint_touches;
       }
       for (int r = 0; r < options_.reads_per_process; ++r) {
         const std::vector<std::string>& pool = readable_[shard];
@@ -144,7 +141,6 @@ Status AuditStreamGenerator::StreamRound() {
       PASS_RETURN_IF_ERROR(
           kernel.Write(worker, out_fd, "scan findings").status());
       PASS_RETURN_IF_ERROR(kernel.Close(worker, out_fd));
-      ++stats_.writes;
       PASS_ASSIGN_OR_RETURN(core::ObjectRef out_ref,
                             m.pass()->RefOfPath(out_path));
       bool out_tainted = tainted;
@@ -157,7 +153,6 @@ Status AuditStreamGenerator::StreamRound() {
         if (foreign.shard != shard) {
           PASS_RETURN_IF_ERROR(m.pass()->DiscloseRecords(
               worker, out_ref, {core::Record::Input(foreign.ref)}));
-          ++stats_.cross_shard_links;
           out_tainted = out_tainted || foreign.tainted;
         }
       }
@@ -169,7 +164,6 @@ Status AuditStreamGenerator::StreamRound() {
       readable_[shard].push_back(out_path);
     }
   }
-  ++stats_.rounds;
   return cluster_->Sync();
 }
 

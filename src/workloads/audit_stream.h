@@ -46,15 +46,6 @@ struct AuditStreamOptions {
   uint64_t seed = 17;
 };
 
-struct AuditStreamStats {
-  uint64_t rounds = 0;
-  uint64_t processes = 0;  // fork/exec chains spawned (2 pnodes each)
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t taint_touches = 0;
-  uint64_t cross_shard_links = 0;
-};
-
 class AuditStreamGenerator {
  public:
   AuditStreamGenerator(cluster::ClusterCoordinator* cluster,
@@ -67,7 +58,6 @@ class AuditStreamGenerator {
   // One burst of audit activity on every shard, ingested via Sync().
   Status StreamRound();
 
-  const AuditStreamStats& stats() const { return stats_; }
   // Spawn names of worker processes that read taint directly or through a
   // tainted file, in event order — the ground-truth floor for a
   // taint-descendant standing query.
@@ -97,7 +87,6 @@ class AuditStreamGenerator {
   std::vector<OutputFile> outputs_;                 // all shards, in order
   std::set<std::string> tainted_files_;             // "<shard>:<path>"
   std::set<std::string> tainted_processes_;
-  AuditStreamStats stats_;
 };
 
 }  // namespace pass::workloads

@@ -489,16 +489,8 @@ TEST(ClusterTest, CrashMidSyncRecoversToEquivalentView) {
 // migration leaves rows on both shards only until recovery, which rolls the
 // journaled migration forward to a consistent ShardMap epoch.
 TEST(ClusterTest, CrashBetweenMigrationCopyAndDeleteRollsForward) {
-  ClusterCoordinator cluster(SmallCluster(2));
-  auto a = cluster.WriteWithLineage(0, "/a", "aaa", {});
-  ASSERT_TRUE(a.ok());
-  auto b = cluster.WriteWithLineage(1, "/b", "bbb", {*a});
-  ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(cluster.Sync().ok());
-
   // Find the crash point between MIGRATE_COPIED and the source delete by
   // sweeping until the crash leaves rows on both shards.
-  core::PnodeRange range{a->pnode, a->pnode + 1};
   uint64_t points = 0;
   {
     ClusterCoordinator twin(SmallCluster(2));

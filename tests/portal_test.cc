@@ -10,7 +10,6 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/portal.h"
-#include "src/obs/stats_bridge.h"
 #include "src/pql/eval.h"
 
 namespace pass::cluster {
@@ -324,15 +323,11 @@ TEST(PortalTierTest, MetricsSurfaceSessionsAndAdmission) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
 
-  tier.PublishMetrics();
-  obs::MetricRegistry& m = cluster.env().obs().metrics();
-  obs::Publish(&m, tier.admission_stats());
-  EXPECT_EQ(m.GetGauge("portal.sessions_open").value(), 2);
-  EXPECT_EQ(m.GetGauge("portal.bytes_reserved").value(),
-            static_cast<int64_t>(2u << 20));
-  EXPECT_EQ(m.GetGauge("portal.queue_depth").value(), 0);
-  EXPECT_EQ(m.GetGauge("portal.admission.admitted").value(), 2);
-  EXPECT_EQ(m.GetGauge("portal.admission.rejected_quota").value(), 0);
+  EXPECT_EQ(tier.open_sessions(), 2u);
+  EXPECT_EQ(tier.bytes_reserved(), size_t{2} << 20);
+  EXPECT_EQ(tier.queued(), 0u);
+  EXPECT_EQ(tier.admission_stats().admitted, 2u);
+  EXPECT_EQ(tier.admission_stats().rejected_quota, 0u);
 }
 
 }  // namespace
