@@ -99,9 +99,12 @@ struct RunResult {
 };
 
 // One cluster per (shards, depth): a lineage chain hopping shards
-// round-robin, synced, then queried for the full ancestry closure of the
-// chain tail — the same query shape fig3 uses, whose FROM binding re-walks
-// shared ancestry from every file and so rewards the portal cache.
+// round-robin, synced, then queried for the ancestry closure of every chain
+// file. Each file's ancestry is a prefix of the tail's, so the rows are the
+// tail's closure, and every closure re-walks ancestry an earlier one
+// fetched: the shared work that frontier shipping and the portal cache
+// exist to save. (A `name =` conjunct would bind the tail alone, one linear
+// walk that neither mechanism can shorten.)
 // `spread` stripes the chain over only the first `spread` shards (default
 // all): the churn phase keeps the last shard chain-free so ingest there is
 // pure foreign churn to every cached entry.
@@ -127,8 +130,7 @@ struct Fixture {
     PASS_CHECK(cluster->Sync().ok());
     query =
         "select Ancestor from Provenance.file as F F.input* as Ancestor "
-        "where F.name = \"/f" +
-        std::to_string(depth - 1) + "\"";
+        "where F.name like \"/f*\"";
     auto merged = pass::cluster::MergedRows(*cluster, query);
     PASS_CHECK(merged.ok());
     want = *merged;

@@ -40,13 +40,34 @@ uint64_t ValueSetBytes(const pql::ValueSet& values) {
 
 }  // namespace
 
-void FederatedSource::RecordHop(const char* op, sim::Nanos start_ns) const {
+FederatedSource::FederatedSource(std::vector<const waldo::ProvDb*> shards,
+                                 sim::Network* net, const ShardMap* map,
+                                 int portal_shard, size_t cache_bytes,
+                                 obs::Observability* obs)
+    : shards_(std::move(shards)),
+      net_(net),
+      map_(map),
+      portal_shard_(portal_shard),
+      cache_capacity_(cache_bytes),
+      obs_(obs) {
   if (obs_ == nullptr) {
     return;
   }
-  obs_->metrics()
-      .GetHistogram("query.hop_ns", obs::Labels{{"op", op}})
-      .Record(obs_->clock()->now() - start_ns);
+  obs::MetricRegistry& metrics = obs_->metrics();
+  root_set_hop_ns_ =
+      &metrics.GetHistogram("query.hop_ns", {{"op", "root_set"}});
+  follow_hop_ns_ = &metrics.GetHistogram("query.hop_ns", {{"op", "follow"}});
+  attribute_hop_ns_ =
+      &metrics.GetHistogram("query.hop_ns", {{"op", "attribute"}});
+  frontier_nodes_ = &metrics.GetHistogram("query.frontier_nodes");
+}
+
+void FederatedSource::RecordHop(obs::Histogram* hop_ns,
+                                sim::Nanos start_ns) const {
+  if (obs_ == nullptr) {
+    return;
+  }
+  hop_ns->Record(obs_->clock()->now() - start_ns);
 }
 
 void FederatedSource::ChargeExchange(int shard, uint64_t request_bytes,
@@ -210,7 +231,7 @@ std::vector<pql::Node> FederatedSource::RootSet(const std::string& name) const {
                    kPerRowResponseBytes * (rows + 1));
   }
   hop_span.End();
-  RecordHop("root_set", hop_start);
+  RecordHop(root_set_hop_ns_, hop_start);
   std::vector<pql::Node> out;
   out.reserve(gathered.size());
   for (const auto& [pnode, node] : gathered) {
@@ -291,7 +312,7 @@ std::vector<pql::ValueSet> FederatedSource::AttributeMany(
                    response_bytes);
   }
   hop_span.End();
-  RecordHop("attribute", hop_start);
+  RecordHop(attribute_hop_ns_, hop_start);
   return out;
 }
 
@@ -305,9 +326,7 @@ std::vector<std::vector<pql::Node>> FederatedSource::FollowMany(
   sim::Nanos hop_start = obs_ == nullptr ? 0 : obs_->clock()->now();
   obs::ScopedSpan hop_span(Tracer(), "query.follow_hop");
   if (obs_ != nullptr) {
-    obs_->metrics()
-        .GetHistogram("query.frontier_nodes")
-        .Record(nodes.size());
+    frontier_nodes_->Record(nodes.size());
   }
   ValidateCache();
   // Forward edges live with the subject's owner; reverse edges live with
@@ -359,7 +378,7 @@ std::vector<std::vector<pql::Node>> FederatedSource::FollowMany(
                    kPerRowResponseBytes * (rows + indexes.size()));
   }
   hop_span.End();
-  RecordHop("follow", hop_start);
+  RecordHop(follow_hop_ns_, hop_start);
   return out;
 }
 

@@ -80,13 +80,7 @@ class FederatedSource : public pql::GraphSource {
   FederatedSource(std::vector<const waldo::ProvDb*> shards, sim::Network* net,
                   const ShardMap* map, int portal_shard = 0,
                   size_t cache_bytes = kDefaultCacheBytes,
-                  obs::Observability* obs = nullptr)
-      : shards_(std::move(shards)),
-        net_(net),
-        map_(map),
-        portal_shard_(portal_shard),
-        cache_capacity_(cache_bytes),
-        obs_(obs) {}
+                  obs::Observability* obs = nullptr);
 
   // Movable but not copyable: cache entries hold iterators into lru_, which
   // survive a move (std::list/map moves preserve them) but would alias the
@@ -157,8 +151,9 @@ class FederatedSource : public pql::GraphSource {
   obs::TraceCollector* Tracer() const {
     return obs_ == nullptr ? nullptr : &obs_->trace();
   }
-  // Record one hop's sim-clock latency into "query.hop_ns"{op=...}.
-  void RecordHop(const char* op, sim::Nanos start_ns) const;
+  // Record one hop's sim-clock latency into its "query.hop_ns"{op=...}
+  // series.
+  void RecordHop(obs::Histogram* hop_ns, sim::Nanos start_ns) const;
 
   // Reconcile the cache with the ShardMap epoch: entries in ranges the
   // epoch-change history says were reassigned since the last validation are
@@ -178,6 +173,11 @@ class FederatedSource : public pql::GraphSource {
   int portal_shard_;
   size_t cache_capacity_;
   obs::Observability* obs_ = nullptr;
+  // Registry series, resolved once at construction (null without `obs_`).
+  obs::Histogram* root_set_hop_ns_ = nullptr;
+  obs::Histogram* follow_hop_ns_ = nullptr;
+  obs::Histogram* attribute_hop_ns_ = nullptr;
+  obs::Histogram* frontier_nodes_ = nullptr;
   mutable FederatedStats stats_;
   mutable std::map<CacheKey, CacheEntry> cache_;
   mutable std::list<CacheKey> lru_;  // front = most recently used

@@ -1,6 +1,7 @@
 #include "src/pql/eval.h"
 
 #include <algorithm>
+#include <cctype>
 #include <set>
 
 #include "src/pql/parser.h"
@@ -10,6 +11,25 @@ namespace pass::pql {
 namespace {
 
 using Env = std::map<std::string, Node>;
+
+// Appends the top-level `and`-conjuncts of `expr`, in written order.
+void AppendConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
+  if (expr.kind == Expr::Kind::kBinary && expr.op == BinOp::kAnd) {
+    AppendConjuncts(*expr.lhs, out);
+    AppendConjuncts(*expr.rhs, out);
+  } else {
+    out->push_back(&expr);
+  }
+}
+
+// "name" in any case: sources match attribute names case-insensitively.
+bool IsNameStep(const std::string& step) {
+  constexpr std::string_view kName = "name";
+  return std::equal(step.begin(), step.end(), kName.begin(), kName.end(),
+                    [](char a, char b) {
+                      return std::tolower(static_cast<unsigned char>(a)) == b;
+                    });
+}
 
 class Evaluator {
  public:
@@ -23,6 +43,21 @@ class Evaluator {
                                 bool top_level = false);
 
  private:
+  // Name-root binding: splits `query.where` into the literals of its
+  // top-level conjuncts `V.name = <literal>`, where V is the first FROM
+  // variable bound to a bare Provenance.<set> and not rebound later, and
+  // the other conjuncts in written order. With no such conjunct,
+  // `filters` is the whole where clause and `root_names` stays empty.
+  void SplitWhere(const Query& query, ValueSet* root_names,
+                  std::vector<const Expr*>* filters) const;
+  // The literal of `expr` if it reads `<variable>.name = <literal>` in
+  // either operand order, with `name` an attribute step; null otherwise.
+  const Value* RootNameLiteral(const Expr& expr,
+                               const std::string& variable) const;
+  // The roots, in order, whose name set holds every literal in `names`,
+  // read with one batched lookup over all of `roots`.
+  std::vector<Node> RootsNamed(const std::vector<Node>& roots,
+                               const ValueSet& names) const;
   // Expand one link step (with closure) from a node set.
   Result<std::vector<Node>> ExpandStep(const std::vector<Node>& from,
                                        const PathStep& step);
@@ -73,6 +108,75 @@ bool Evaluator::Compare(const Value& a, const Value& b, BinOp op) {
     default:
       return false;
   }
+}
+
+void Evaluator::SplitWhere(const Query& query, ValueSet* root_names,
+                           std::vector<const Expr*>* filters) const {
+  const FromItem* first = query.froms.empty() ? nullptr : &query.froms.front();
+  bool bare_root =
+      first != nullptr && first->path.from_provenance &&
+      first->path.steps.empty() &&
+      std::none_of(query.froms.begin() + 1, query.froms.end(),
+                   [&](const FromItem& item) {
+                     return item.variable == first->variable;
+                   });
+  if (bare_root) {
+    std::vector<const Expr*> conjuncts;
+    AppendConjuncts(*query.where, &conjuncts);
+    for (const Expr* conjunct : conjuncts) {
+      if (const Value* name = RootNameLiteral(*conjunct, first->variable)) {
+        root_names->push_back(*name);
+      } else {
+        filters->push_back(conjunct);
+      }
+    }
+  }
+  if (root_names->empty()) {
+    filters->assign(1, query.where.get());
+  }
+}
+
+const Value* Evaluator::RootNameLiteral(const Expr& expr,
+                                        const std::string& variable) const {
+  if (expr.kind != Expr::Kind::kBinary || expr.op != BinOp::kEq) {
+    return nullptr;
+  }
+  const Expr* path = expr.lhs.get();
+  const Expr* literal = expr.rhs.get();
+  if (path->kind == Expr::Kind::kLiteral) {
+    std::swap(path, literal);
+  }
+  if (path->kind != Expr::Kind::kPath ||
+      literal->kind != Expr::Kind::kLiteral ||
+      path->path.from_provenance || path->path.variable != variable ||
+      path->path.steps.size() != 1) {
+    return nullptr;
+  }
+  const PathStep& step = path->path.steps.front();
+  if (step.inverse || step.closure != Closure::kOne || !IsNameStep(step.name) ||
+      source_->IsLink(step.name)) {
+    return nullptr;
+  }
+  return &literal->literal;
+}
+
+std::vector<Node> Evaluator::RootsNamed(const std::vector<Node>& roots,
+                                        const ValueSet& names) const {
+  std::vector<ValueSet> root_names = source_->AttributeMany(roots, "name");
+  std::vector<Node> kept;
+  for (size_t i = 0; i < roots.size(); ++i) {
+    // The same existential equality the conjunct evaluates per binding.
+    const ValueSet& values = root_names[i];
+    auto has = [&](const Value& name) {
+      return std::any_of(values.begin(), values.end(), [&](const Value& v) {
+        return v.Equals(name);
+      });
+    };
+    if (std::all_of(names.begin(), names.end(), has)) {
+      kept.push_back(roots[i]);
+    }
+  }
+  return kept;
 }
 
 Result<std::vector<Node>> Evaluator::ExpandStep(const std::vector<Node>& from,
@@ -294,12 +398,25 @@ Result<ValueSet> Evaluator::EvalExpr(const Expr& expr, const Env& env) {
 
 Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
                                          bool top_level) {
+  // A root whose name fails a `V.name = <literal>` conjunct can emit no
+  // row, so it is dropped before anything is expanded from it: a
+  // one-object lineage query walks that object's ancestry, not every
+  // root's. The conjuncts left in `filters` still run per binding.
+  ValueSet root_names;
+  std::vector<const Expr*> filters;
+  if (query.where != nullptr) {
+    SplitWhere(query, &root_names, &filters);
+  }
+
   // Build binding tuples from the FROM list.
   std::vector<Env> envs{outer};
   for (const FromItem& item : query.froms) {
     std::vector<Env> next;
     for (const Env& env : envs) {
       PASS_ASSIGN_OR_RETURN(std::vector<Node> nodes, PathNodes(item.path, env));
+      if (&item == &query.froms.front() && !root_names.empty()) {
+        nodes = RootsNamed(nodes, root_names);
+      }
       for (const Node& node : nodes) {
         Env extended = env;
         extended[item.variable] = node;
@@ -340,11 +457,12 @@ Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
 
   std::set<std::vector<std::string>> seen_rows;
   for (const Env& env : envs) {
-    if (query.where != nullptr) {
-      PASS_ASSIGN_OR_RETURN(bool keep, Truthy(*query.where, env));
-      if (!keep) {
-        continue;
-      }
+    bool keep = true;
+    for (size_t i = 0; keep && i < filters.size(); ++i) {
+      PASS_ASSIGN_OR_RETURN(keep, Truthy(*filters[i], env));
+    }
+    if (!keep) {
+      continue;
     }
     Node root{};
     std::string root_token;

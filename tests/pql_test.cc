@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "src/pql/eval.h"
 #include "src/pql/lexer.h"
@@ -327,6 +330,7 @@ class CountingSource : public GraphSource {
   explicit CountingSource(const GraphSource* inner) : inner_(inner) {}
 
   std::vector<Node> RootSet(const std::string& name) const override {
+    ++root_set_calls;
     return inner_->RootSet(name);
   }
   ValueSet Attribute(const Node& node, const std::string& attr) const override {
@@ -343,11 +347,13 @@ class CountingSource : public GraphSource {
                                             bool inverse) const override {
     ++follow_many_calls;
     max_follow_batch = std::max(max_follow_batch, nodes.size());
+    followed.insert(nodes.begin(), nodes.end());
     return inner_->FollowMany(nodes, link, inverse);
   }
   std::vector<ValueSet> AttributeMany(const std::vector<Node>& nodes,
                                       const std::string& attr) const override {
     ++attribute_many_calls;
+    attribute_batches.push_back(nodes.size());
     return inner_->AttributeMany(nodes, attr);
   }
   bool IsLink(const std::string& name) const override {
@@ -357,11 +363,14 @@ class CountingSource : public GraphSource {
     return inner_->NodeLabel(node);
   }
 
+  mutable uint64_t root_set_calls = 0;
   mutable uint64_t single_follow_calls = 0;
   mutable uint64_t single_attribute_calls = 0;
   mutable uint64_t follow_many_calls = 0;
   mutable uint64_t attribute_many_calls = 0;
   mutable size_t max_follow_batch = 0;
+  mutable std::set<Node> followed;  // every node a FollowMany expanded
+  mutable std::vector<size_t> attribute_batches;  // nodes per AttributeMany
 
  private:
   const GraphSource* inner_;
@@ -407,6 +416,161 @@ TEST_F(PqlEvalTest, DefaultSingleNodeOpsMatchBatchedCore) {
   }
 }
 
+// ---- Name-root binding ------------------------------------------------------
+
+// A top-level `F.name = <literal>` conjunct on a bare Provenance root filters
+// the roots before anything is expanded from them: one RootSet, one batched
+// name lookup over the whole root set, and link traversal only from the
+// root that matched.
+TEST_F(PqlEvalTest, NameFilteredClosureExpandsOnlyTheNamedRoot) {
+  CountingSource counting(&source_);
+  auto result = Engine(&counting).Run(
+      "select Ancestor from Provenance.file as F F.input* as Ancestor "
+      "where F.name = \"atlas-x.gif\"");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->rows.size(), 5u);
+
+  EXPECT_EQ(counting.root_set_calls, 1u);
+  EXPECT_EQ(counting.attribute_batches,
+            std::vector<size_t>{source_.RootSet("file").size()});
+  // atlas-x.gif, softmean, {reslice1, anatomy1}, anatomy2: the named
+  // file's ancestry and nothing else (other.gif is never followed).
+  EXPECT_EQ(counting.follow_many_calls, 4u);
+  EXPECT_EQ(counting.followed,
+            (std::set<Node>{{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}}));
+}
+
+// The rule changes which roots are bound, never the answer: each query is
+// compared with a reference the rule does not match (`like` on the exact
+// name, or `in` for a numeric literal), rows in order, and under
+// attribute_roots rows and roots in order.
+TEST_F(PqlEvalTest, NameFilteredRootsAnswerLikeTheUnfilteredQuery) {
+  // A renamed object: v0 was draft.txt, v1 is final.txt.
+  Put({8, 0}, core::Record::Name("draft.txt"));
+  Put({8, 0}, core::Record::Type("FILE"));
+  Put({8, 1}, core::Record::Name("final.txt"));
+  Edge({8, 1}, {8, 0});
+  Edge({8, 0}, {4, 0});  // draft.txt <- anatomy1.img
+  // One name on a file and on a process.
+  Put({9, 0}, core::Record::Name("shared"));
+  Put({9, 0}, core::Record::Type("FILE"));
+  Put({10, 0}, core::Record::Name("shared"));
+  Put({10, 0}, core::Record::Type("PROC"));
+  Edge({9, 0}, {10, 0});
+  // Names carried only by an annotation keyed `name`, one numeric.
+  Put({11, 0}, core::Record::Type("FILE"));
+  Put({11, 0}, core::Record::Annotation("name", int64_t{7}));
+  Put({12, 0}, core::Record::Type("FILE"));
+  Put({12, 0}, core::Record::Annotation("name", std::string("annotated.dat")));
+  Edge({12, 0}, {11, 0});
+
+  const std::string kClosure =
+      "select Ancestor from Provenance.file as F F.input* as Ancestor ";
+  struct Case {
+    std::string query;
+    std::string reference;
+    size_t rows;
+  };
+  const Case kCases[] = {
+      {kClosure + "where F.name = \"atlas-x.gif\"",
+       kClosure + "where F.name like \"atlas-x.gif\"", 5},
+      {kClosure + "where \"atlas-x.gif\" = F.name",
+       kClosure + "where F.name like \"atlas-x.gif\"", 5},
+      {kClosure + "where F.NAME = \"atlas-x.gif\"",
+       kClosure + "where F.NAME like \"atlas-x.gif\"", 5},
+      // Other conjuncts before and after keep their order and
+      // short-circuit.
+      {"select A.name from Provenance.file as F F.input* as A "
+       "where A.type = \"PROC\" and F.name = \"atlas-x.gif\" and "
+       "exists(A.input)",
+       "select A.name from Provenance.file as F F.input* as A "
+       "where A.type = \"PROC\" and F.name like \"atlas-x.gif\" and "
+       "exists(A.input)",
+       2},
+      // Two name conjuncts: a root must satisfy both.
+      {kClosure + "where F.name = \"draft.txt\" and F.name = \"final.txt\"",
+       kClosure + "where F.name like \"draft.txt\" and "
+                  "F.name like \"final.txt\"",
+       3},
+      {kClosure + "where F.name = \"atlas-x.gif\" and F.name = \"other.gif\"",
+       kClosure + "where F.name like \"atlas-x.gif\" and "
+                  "F.name like \"other.gif\"",
+       0},
+      // Each union branch binds its own roots.
+      {"select F.name from Provenance.file as F where F.name = \"other.gif\" "
+       "union select A.name from Provenance.process as P P.input* as A "
+       "where P.name = \"softmean\"",
+       "select F.name from Provenance.file as F "
+       "where F.name like \"other.gif\" "
+       "union select A.name from Provenance.process as P P.input* as A "
+       "where P.name like \"softmean\"",
+       5},
+      // A subquery, re-evaluated per outer binding.
+      {"select F.name from Provenance.file as F where F in "
+       "(select D from Provenance.process as P P.~input* as D "
+       "where P.name = \"reslice1\")",
+       "select F.name from Provenance.file as F where F in "
+       "(select D from Provenance.process as P P.~input* as D "
+       "where P.name like \"reslice1\")",
+       1},
+      {"select D from Provenance.process as P P.~input* as D "
+       "where P.name = \"reslice1\"",
+       "select D from Provenance.process as P P.~input* as D "
+       "where P.name like \"reslice1\"",
+       3},
+      {"select O from Provenance.object as O where O.name = \"shared\"",
+       "select O from Provenance.object as O where O.name like \"shared\"",
+       2},
+      {"select F from Provenance.file as F where F.name = \"shared\"",
+       "select F from Provenance.file as F where F.name like \"shared\"", 1},
+      // Every version's name belongs to the object.
+      {kClosure + "where F.name = \"draft.txt\"",
+       kClosure + "where F.name like \"draft.txt\"", 3},
+      {kClosure + "where F.name = \"annotated.dat\"",
+       kClosure + "where F.name like \"annotated.dat\"", 2},
+      {"select F.pnode from Provenance.file as F where F.name = 7",
+       "select F.pnode from Provenance.file as F where F.name in 7", 1},
+      {"select F.pnode from Provenance.file as F where F.name = 7.0",
+       "select F.pnode from Provenance.file as F where F.name in 7.0", 1},
+      // Not the rule's shape: F is rebound by a later FROM item, or the
+      // name test sits under `or`.
+      {"select F from Provenance.file as F F.input+ as F "
+       "where F.name = \"softmean\"",
+       "select F from Provenance.file as F F.input+ as F "
+       "where F.name like \"softmean\"",
+       1},
+      {kClosure + "where F.name = \"other.gif\" or F.name = \"anatomy2.img\"",
+       kClosure + "where F.name like \"other.gif\" or "
+                  "F.name like \"anatomy2.img\"",
+       3},
+  };
+  auto render = [&](const std::string& text, bool attribute_roots) {
+    QueryOptions options;
+    options.attribute_roots = attribute_roots;
+    auto result = engine_.Run(text, options);
+    EXPECT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+    std::vector<std::string> lines;
+    if (!result.ok()) {
+      return lines;
+    }
+    for (size_t i = 0; i < result->rows.size(); ++i) {
+      std::string line =
+          attribute_roots ? result->roots[i].ToString() + " -> " : "";
+      for (const Value& value : result->rows[i]) {
+        line += value.ToString() + "|";
+      }
+      lines.push_back(std::move(line));
+    }
+    return lines;
+  };
+  for (const Case& c : kCases) {
+    std::vector<std::string> rows = render(c.query, false);
+    EXPECT_EQ(rows.size(), c.rows) << c.query;
+    EXPECT_EQ(rows, render(c.reference, false)) << c.query;
+    EXPECT_EQ(render(c.query, true), render(c.reference, true)) << c.query;
+  }
+}
+
 TEST(PqlLimitsTest, BindingExplosionIsBounded) {
   waldo::ProvDb db;
   for (int i = 0; i < 64; ++i) {
@@ -422,6 +586,36 @@ TEST(PqlLimitsTest, BindingExplosionIsBounded) {
       "select a from Provenance.file as a Provenance.file as b");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Code::kUnavailable);
+}
+
+// Only the roots a name conjunct keeps count against the limits: on a
+// 64-file chain, expanding every file's closure binds 64 * 65 / 2 = 2080
+// ancestors, but the named tail's ancestry is 64.
+TEST(PqlLimitsTest, NameFilteredClosureBindsOnlyTheNamedRoot) {
+  waldo::ProvDb db;
+  for (int i = 1; i <= 64; ++i) {
+    core::ObjectRef ref{static_cast<core::PnodeId>(i), 0};
+    db.Insert({ref, core::Record::Type("FILE")});
+    db.Insert({ref, core::Record::Name("/f" + std::to_string(i))});
+    if (i > 1) {
+      db.Insert({ref, core::Record::Input(
+                          {static_cast<core::PnodeId>(i - 1), 0})});
+    }
+  }
+  ProvDbSource source(&db);
+  QueryOptions options;
+  options.limits.max_bindings = 100;
+  Engine engine(&source, options);
+  const std::string kClosure =
+      "select A from Provenance.file as F F.input* as A ";
+
+  auto every = engine.Run(kClosure + "where F.name like \"/f64\"");
+  ASSERT_FALSE(every.ok());
+  EXPECT_EQ(every.status().code(), Code::kUnavailable);
+
+  auto named = engine.Run(kClosure + "where F.name = \"/f64\"");
+  ASSERT_TRUE(named.ok()) << named.status().ToString();
+  EXPECT_EQ(named->rows.size(), 64u);
 }
 
 }  // namespace
