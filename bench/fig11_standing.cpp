@@ -11,12 +11,15 @@
 //       equals a from-scratch evaluation of the same text over a fresh
 //       federated source — including across a live migration and across a
 //       crash + Recover() sweep;
-//   (b) cost: steady-state incremental evaluation takes >= 5x fewer RPC
-//       exchanges (evaluation ops + frontier publications) than naively
-//       re-running every registered query from scratch on every ingest
-//       batch — both sides metered through the same MeteredSource ruler,
-//       with rows touched reported alongside and the one-time seed
-//       evaluation excluded and reported separately.
+//   (b) cost: the naive baseline, re-running every registered query from
+//       scratch on every ingest batch, makes >= 5x more source calls than
+//       the tier makes remote exchanges. The two sides count different
+//       units. The naive side counts every batched source call
+//       (MeteredSource::ops), cache hits and portal-local answers included.
+//       The tier side counts remote RPCs (StandingStats::eval_rpcs) plus
+//       frontier publication exchanges (frontier_rpcs). Rows touched, read
+//       through a MeteredSource on both sides, are reported alongside; the
+//       one-time seed evaluation is excluded and reported separately.
 //
 // Usage: fig11_standing [rounds] [seed]   (default 6 17; CI runs 4 rounds
 //                                          under ASan)
@@ -101,9 +104,9 @@ std::set<std::string> RowSet(const pass::pql::QueryResult& result) {
 }
 
 // The naive baseline an operator without the tier would run: every
-// registered query, from scratch, after every ingest batch — metered
-// through the same ruler the tier meters itself with. Returns false (and
-// leaves *rows/*ops untouched) only if evaluation fails.
+// registered query, from scratch, after every ingest batch. Its rows are
+// metered as the tier meters its own; *ops counts source calls. Returns
+// false (and leaves *rows/*ops untouched) only if evaluation fails.
 bool NaiveAnswer(ClusterCoordinator* cluster, const std::string& query,
                  std::set<std::string>* answer, uint64_t* rows,
                  uint64_t* ops) {
@@ -136,8 +139,8 @@ int main(int argc, char** argv) {
   int configs = 0;
 
   // ---- Phase A: ingest rate x query count x shards --------------------------
-  std::printf("steady-state sweep (advantage = naive rpcs / incremental "
-              "rpcs, seed excluded):\n");
+  std::printf("steady-state sweep (advantage = naive source calls / "
+              "incremental remote + publication rpcs, seed excluded):\n");
   for (int shards : {2, 4}) {
     for (int rate : {2, 6}) {
       for (int query_count : {1, 4, 8}) {
@@ -187,7 +190,7 @@ int main(int argc, char** argv) {
         ++configs;
 
         std::printf("  %d shards x rate %d x %d queries: incr %8llu rows "
-                    "%6llu rpcs | naive %9llu rows %6llu rpcs | %6.1fx, "
+                    "%6llu rpcs | naive %9llu rows %6llu calls | %6.1fx, "
                     "%llu notifications\n",
                     shards, rate, query_count,
                     (unsigned long long)stats.rows_touched,
@@ -205,9 +208,9 @@ int main(int argc, char** argv) {
                     (unsigned long long)stats.seed_rows_touched,
                     (unsigned long long)stats.notifications,
                     match ? "yes" : "no");
-        // Gate (b): steady-state incremental cost >= 5x cheaper than the
-        // naive baseline, measured in RPC exchanges through the same
-        // metered ruler.
+        // Gate (b): the naive baseline's source calls are >= 5x the
+        // tier's remote RPCs plus publication exchanges (different units;
+        // see the header).
         PASS_CHECK(advantage >= 5.0);
       }
     }

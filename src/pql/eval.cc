@@ -31,6 +31,58 @@ bool IsNameStep(const std::string& step) {
                     });
 }
 
+void AddReads(const Query& query, std::set<std::string>* out);
+
+// Adds the variable every path in `expr` starts from to `out`, subqueries
+// included. Variables a subquery binds for itself count as read too, so
+// the set errs towards reading more.
+void AddReads(const Expr& expr, std::set<std::string>* out) {
+  if (expr.kind == Expr::Kind::kPath && !expr.path.from_provenance) {
+    out->insert(expr.path.variable);
+  }
+  for (const Expr* operand : {expr.lhs.get(), expr.rhs.get()}) {
+    if (operand != nullptr) {
+      AddReads(*operand, out);
+    }
+  }
+  if (expr.subquery != nullptr) {
+    AddReads(*expr.subquery, out);
+  }
+}
+
+void AddReads(const Query& query, std::set<std::string>* out) {
+  for (const SelectItem& item : query.selects) {
+    AddReads(item.expr, out);
+  }
+  for (const FromItem& item : query.froms) {
+    if (!item.path.from_provenance) {
+      out->insert(item.path.variable);
+    }
+  }
+  if (query.where != nullptr) {
+    AddReads(*query.where, out);
+  }
+  if (query.union_with != nullptr) {
+    AddReads(*query.union_with, out);
+  }
+}
+
+// The where clause of one query, split into the parts the evaluator runs
+// apart (Evaluator::SplitWhere).
+struct WherePlan {
+  // Name-root binding: the literals of the `V.name = <literal>` conjuncts.
+  ValueSet root_names;
+  // Every other top-level conjunct, in written order.
+  std::vector<const Expr*> filters;
+  // Shared walk: the last FROM item, which is then never bound, and the
+  // run filters[tests_begin, tests_end) of the conjuncts that read its
+  // variable. The conjuncts before the run filter the bindings the walk
+  // starts from; the ones after it run per kept binding.
+  const FromItem* walked = nullptr;
+  size_t tests_begin = 0;
+  size_t tests_end = 0;
+};
+
 class Evaluator {
  public:
   Evaluator(const GraphSource* source, const QueryOptions& options)
@@ -43,13 +95,14 @@ class Evaluator {
                                 bool top_level = false);
 
  private:
-  // Name-root binding: splits `query.where` into the literals of its
-  // top-level conjuncts `V.name = <literal>`, where V is the first FROM
-  // variable bound to a bare Provenance.<set> and not rebound later, and
-  // the other conjuncts in written order. With no such conjunct,
-  // `filters` is the whole where clause and `root_names` stays empty.
-  void SplitWhere(const Query& query, ValueSet* root_names,
-                  std::vector<const Expr*>* filters) const;
+  // Splits `query.where` into its top-level conjuncts. Name-root binding
+  // takes the literals of the conjuncts `V.name = <literal>`, where V is
+  // the first FROM variable bound to a bare Provenance.<set> and not
+  // rebound later. The shared walk takes the last FROM item when it binds
+  // A by one `*` or `+` link step from an earlier FROM variable, `select`
+  // never reads A, and the conjuncts that read A read nothing else and
+  // stand next to each other.
+  void SplitWhere(const Query& query, WherePlan* plan) const;
   // The literal of `expr` if it reads `<variable>.name = <literal>` in
   // either operand order, with `name` an attribute step; null otherwise.
   const Value* RootNameLiteral(const Expr& expr,
@@ -58,6 +111,17 @@ class Evaluator {
   // read with one batched lookup over all of `roots`.
   std::vector<Node> RootsNamed(const std::vector<Node>& roots,
                                const ValueSet& names) const;
+  // True if `item`, the last FROM item of `query`, binds a variable the
+  // shared walk can leave unbound: one `*` or `+` link step from an
+  // earlier FROM variable, a name no earlier item binds, and no select
+  // item reads it.
+  bool Walkable(const Query& query, const FromItem& item) const;
+  // The bindings of `envs` that pass the conjuncts before the walked
+  // variable's tests and whose closure holds a member passing the tests.
+  // One walk, level by level from every start at once, covers every
+  // binding's closure; each member is tested once.
+  Result<std::vector<Env>> WalkShared(const WherePlan& plan,
+                                      std::vector<Env> envs);
   // Expand one link step (with closure) from a node set.
   Result<std::vector<Node>> ExpandStep(const std::vector<Node>& from,
                                        const PathStep& step);
@@ -110,8 +174,11 @@ bool Evaluator::Compare(const Value& a, const Value& b, BinOp op) {
   }
 }
 
-void Evaluator::SplitWhere(const Query& query, ValueSet* root_names,
-                           std::vector<const Expr*>* filters) const {
+void Evaluator::SplitWhere(const Query& query, WherePlan* plan) const {
+  std::vector<const Expr*> conjuncts;
+  if (query.where != nullptr) {
+    AppendConjuncts(*query.where, &conjuncts);
+  }
   const FromItem* first = query.froms.empty() ? nullptr : &query.froms.front();
   bool bare_root =
       first != nullptr && first->path.from_provenance &&
@@ -120,20 +187,38 @@ void Evaluator::SplitWhere(const Query& query, ValueSet* root_names,
                    [&](const FromItem& item) {
                      return item.variable == first->variable;
                    });
-  if (bare_root) {
-    std::vector<const Expr*> conjuncts;
-    AppendConjuncts(*query.where, &conjuncts);
-    for (const Expr* conjunct : conjuncts) {
-      if (const Value* name = RootNameLiteral(*conjunct, first->variable)) {
-        root_names->push_back(*name);
-      } else {
-        filters->push_back(conjunct);
-      }
+  for (const Expr* conjunct : conjuncts) {
+    const Value* name =
+        bare_root ? RootNameLiteral(*conjunct, first->variable) : nullptr;
+    if (name != nullptr) {
+      plan->root_names.push_back(*name);
+    } else {
+      plan->filters.push_back(conjunct);
     }
   }
-  if (root_names->empty()) {
-    filters->assign(1, query.where.get());
+
+  if (query.froms.empty() || !Walkable(query, query.froms.back())) {
+    return;
   }
+  const std::string& variable = query.froms.back().variable;
+  size_t begin = plan->filters.size();
+  size_t end = begin;
+  for (size_t i = 0; i < plan->filters.size(); ++i) {
+    std::set<std::string> reads;
+    AddReads(*plan->filters[i], &reads);
+    if (reads.count(variable) == 0) {
+      continue;
+    }
+    bool interleaved = begin != plan->filters.size() && end != i;
+    if (reads.size() != 1 || interleaved) {
+      return;
+    }
+    begin = std::min(begin, i);
+    end = i + 1;
+  }
+  plan->walked = &query.froms.back();
+  plan->tests_begin = begin;
+  plan->tests_end = end;
 }
 
 const Value* Evaluator::RootNameLiteral(const Expr& expr,
@@ -174,6 +259,204 @@ std::vector<Node> Evaluator::RootsNamed(const std::vector<Node>& roots,
     };
     if (std::all_of(names.begin(), names.end(), has)) {
       kept.push_back(roots[i]);
+    }
+  }
+  return kept;
+}
+
+bool Evaluator::Walkable(const Query& query, const FromItem& item) const {
+  const PathExpr& path = item.path;
+  if (path.from_provenance || path.steps.size() != 1 ||
+      (path.steps.front().closure != Closure::kStar &&
+       path.steps.front().closure != Closure::kPlus) ||
+      !source_->IsLink(path.steps.front().name)) {
+    return false;
+  }
+  bool from_earlier = false;
+  for (const FromItem& earlier : query.froms) {
+    if (&earlier == &item) {
+      break;
+    }
+    if (earlier.variable == item.variable) {
+      return false;
+    }
+    from_earlier = from_earlier || earlier.variable == path.variable;
+  }
+  std::set<std::string> selected;
+  for (const SelectItem& select : query.selects) {
+    AddReads(select.expr, &selected);
+  }
+  return from_earlier && selected.count(item.variable) == 0;
+}
+
+Result<std::vector<Env>> Evaluator::WalkShared(const WherePlan& plan,
+                                               std::vector<Env> envs) {
+  const FromItem& item = *plan.walked;
+  const PathStep& step = item.path.steps.front();
+  const std::string& from = item.path.variable;
+  bool plus = step.closure == Closure::kPlus;
+
+  // The walk's graph: a slot per node met, found through `slot_of`. An
+  // expanded node's links are fetched once and kept as slot indices, in
+  // both directions.
+  struct Slot {
+    Node node;
+    std::vector<size_t> links;
+    std::vector<size_t> linked_from;
+    bool expanded = false;
+    bool member = false;
+    bool marked = false;
+  };
+  std::vector<Slot> slots;
+  std::map<Node, size_t> slot_of;
+  auto slot = [&](const Node& node) {
+    auto [it, added] = slot_of.emplace(node, slots.size());
+    if (added) {
+      slots.emplace_back().node = node;
+    }
+    return it->second;
+  };
+  // One batched call over the slots in `ids` not yet expanded.
+  auto expand = [&](const std::vector<size_t>& ids) {
+    std::vector<size_t> fresh;
+    std::vector<Node> nodes;
+    for (size_t id : ids) {
+      if (!slots[id].expanded) {
+        slots[id].expanded = true;
+        fresh.push_back(id);
+        nodes.push_back(slots[id].node);
+      }
+    }
+    if (nodes.empty()) {
+      return;
+    }
+    std::vector<std::vector<Node>> nexts =
+        source_->FollowMany(nodes, step.name, step.inverse);
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      for (const Node& next : nexts[i]) {
+        size_t id = slot(next);
+        slots[fresh[i]].links.push_back(id);
+        slots[id].linked_from.push_back(fresh[i]);
+      }
+    }
+  };
+  // The distinct starts of `bindings`, in node order.
+  auto starts_of = [&](const std::vector<Env>& bindings) {
+    std::vector<Node> starts;
+    starts.reserve(bindings.size());
+    for (const Env& env : bindings) {
+      starts.push_back(env.at(from));
+    }
+    std::sort(starts.begin(), starts.end());
+    starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+    std::vector<size_t> ids;
+    ids.reserve(starts.size());
+    for (const Node& start : starts) {
+      ids.push_back(slot(start));
+    }
+    return ids;
+  };
+  auto start_of = [&](const Env& env) -> const Slot& {
+    return slots[slot_of.at(env.at(from))];
+  };
+
+  if (plus) {
+    // A start with no link has an empty `+` closure: its bindings bind no
+    // A, so no conjunct runs on them. Find them before any conjunct does.
+    expand(starts_of(envs));
+    std::erase_if(envs,
+                  [&](const Env& env) { return start_of(env).links.empty(); });
+  }
+  std::vector<Env> bindings;
+  for (Env& env : envs) {
+    bool keep = true;
+    for (size_t i = 0; keep && i < plan.tests_begin; ++i) {
+      PASS_ASSIGN_OR_RETURN(keep, Truthy(*plan.filters[i], env));
+    }
+    if (keep) {
+      bindings.push_back(std::move(env));
+    }
+  }
+
+  // Level-synchronous BFS from every start at once: one batched call per
+  // level. The members are the union of the bindings' closures; a node is
+  // queued when it becomes one (a `+` start may be queued again then, but
+  // is not expanded again).
+  std::vector<size_t> frontier = starts_of(bindings);
+  for (size_t id : frontier) {
+    slots[id].member = !plus;
+  }
+  size_t members = plus ? 0 : frontier.size();
+  auto overflow = [&] {
+    return Unavailable("closure expansion exceeds limit");
+  };
+  if (members > limits_.max_closure_nodes) {
+    return overflow();
+  }
+  while (!frontier.empty()) {
+    expand(frontier);
+    std::vector<size_t> next_frontier;
+    for (size_t id : frontier) {
+      for (size_t next : slots[id].links) {
+        if (slots[next].member) {
+          continue;
+        }
+        slots[next].member = true;
+        if (++members > limits_.max_closure_nodes) {
+          return overflow();
+        }
+        next_frontier.push_back(next);
+      }
+    }
+    frontier = std::move(next_frontier);
+  }
+
+  // Each member is tested once, in node order, the conjuncts in written
+  // order.
+  Env env{{item.variable, Node{}}};
+  Node& bound = env.begin()->second;
+  std::vector<size_t> satisfying;
+  for (const auto& [node, id] : slot_of) {
+    if (!slots[id].member) {
+      continue;
+    }
+    bound = node;
+    bool pass = true;
+    for (size_t i = plan.tests_begin; pass && i < plan.tests_end; ++i) {
+      PASS_ASSIGN_OR_RETURN(pass, Truthy(*plan.filters[i], env));
+    }
+    if (pass) {
+      satisfying.push_back(id);
+    }
+  }
+
+  // Mark every node that reaches a satisfying member, walking the recorded
+  // links backwards; a node is marked once, so cycles end.
+  for (size_t id : satisfying) {
+    slots[id].marked = true;
+  }
+  while (!satisfying.empty()) {
+    size_t id = satisfying.back();
+    satisfying.pop_back();
+    for (size_t prev : slots[id].linked_from) {
+      if (!slots[prev].marked) {
+        slots[prev].marked = true;
+        satisfying.push_back(prev);
+      }
+    }
+  }
+
+  // A `*` closure holds a marked node if its start is marked; a `+`
+  // closure, if one of the start's links is.
+  std::vector<Env> kept;
+  for (Env& binding : bindings) {
+    const Slot& start = start_of(binding);
+    bool reaches =
+        plus ? std::any_of(start.links.begin(), start.links.end(),
+                           [&](size_t next) { return slots[next].marked; })
+             : start.marked;
+    if (reaches) {
+      kept.push_back(std::move(binding));
     }
   }
   return kept;
@@ -401,21 +684,26 @@ Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
   // A root whose name fails a `V.name = <literal>` conjunct can emit no
   // row, so it is dropped before anything is expanded from it: a
   // one-object lineage query walks that object's ancestry, not every
-  // root's. The conjuncts left in `filters` still run per binding.
-  ValueSet root_names;
-  std::vector<const Expr*> filters;
-  if (query.where != nullptr) {
-    SplitWhere(query, &root_names, &filters);
-  }
+  // root's. The conjuncts left in `plan.filters` still run per binding.
+  //
+  // A walked variable is never bound: a binding emits its rows if some
+  // member of its closure passes the variable's tests, so one walk over
+  // the union of the closures decides every binding (WalkShared), and the
+  // conjuncts after the tests run per kept binding.
+  WherePlan plan;
+  SplitWhere(query, &plan);
 
   // Build binding tuples from the FROM list.
   std::vector<Env> envs{outer};
   for (const FromItem& item : query.froms) {
+    if (&item == plan.walked) {
+      break;
+    }
     std::vector<Env> next;
     for (const Env& env : envs) {
       PASS_ASSIGN_OR_RETURN(std::vector<Node> nodes, PathNodes(item.path, env));
-      if (&item == &query.froms.front() && !root_names.empty()) {
-        nodes = RootsNamed(nodes, root_names);
+      if (&item == &query.froms.front() && !plan.root_names.empty()) {
+        nodes = RootsNamed(nodes, plan.root_names);
       }
       for (const Node& node : nodes) {
         Env extended = env;
@@ -427,6 +715,11 @@ Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
       }
     }
     envs = std::move(next);
+  }
+  size_t first_filter = 0;
+  if (plan.walked != nullptr) {
+    PASS_ASSIGN_OR_RETURN(envs, WalkShared(plan, std::move(envs)));
+    first_filter = plan.tests_end;
   }
 
   QueryResult result;
@@ -458,8 +751,8 @@ Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
   std::set<std::vector<std::string>> seen_rows;
   for (const Env& env : envs) {
     bool keep = true;
-    for (size_t i = 0; keep && i < filters.size(); ++i) {
-      PASS_ASSIGN_OR_RETURN(keep, Truthy(*filters[i], env));
+    for (size_t i = first_filter; keep && i < plan.filters.size(); ++i) {
+      PASS_ASSIGN_OR_RETURN(keep, Truthy(*plan.filters[i], env));
     }
     if (!keep) {
       continue;

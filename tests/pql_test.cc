@@ -156,6 +156,29 @@ class PqlEvalTest : public ::testing::Test {
     return names;
   }
 
+  // One line per row, in order; under attribute_roots each line starts with
+  // the row's root.
+  std::vector<std::string> Render(const std::string& text,
+                                  bool attribute_roots) {
+    QueryOptions options;
+    options.attribute_roots = attribute_roots;
+    auto result = engine_.Run(text, options);
+    EXPECT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+    std::vector<std::string> lines;
+    if (!result.ok()) {
+      return lines;
+    }
+    for (size_t i = 0; i < result->rows.size(); ++i) {
+      std::string line =
+          attribute_roots ? result->roots[i].ToString() + " -> " : "";
+      for (const Value& value : result->rows[i]) {
+        line += value.ToString() + "|";
+      }
+      lines.push_back(std::move(line));
+    }
+    return lines;
+  }
+
   waldo::ProvDb db_;
   ProvDbSource source_;
   Engine engine_;
@@ -354,6 +377,7 @@ class CountingSource : public GraphSource {
                                       const std::string& attr) const override {
     ++attribute_many_calls;
     attribute_batches.push_back(nodes.size());
+    attribute_names.push_back(attr);
     return inner_->AttributeMany(nodes, attr);
   }
   bool IsLink(const std::string& name) const override {
@@ -371,6 +395,7 @@ class CountingSource : public GraphSource {
   mutable size_t max_follow_batch = 0;
   mutable std::set<Node> followed;  // every node a FollowMany expanded
   mutable std::vector<size_t> attribute_batches;  // nodes per AttributeMany
+  mutable std::vector<std::string> attribute_names;  // attr per AttributeMany
 
  private:
   const GraphSource* inner_;
@@ -544,31 +569,186 @@ TEST_F(PqlEvalTest, NameFilteredRootsAnswerLikeTheUnfilteredQuery) {
                   "F.name like \"anatomy2.img\"",
        3},
   };
-  auto render = [&](const std::string& text, bool attribute_roots) {
-    QueryOptions options;
-    options.attribute_roots = attribute_roots;
-    auto result = engine_.Run(text, options);
-    EXPECT_TRUE(result.ok()) << text << ": " << result.status().ToString();
-    std::vector<std::string> lines;
-    if (!result.ok()) {
-      return lines;
-    }
-    for (size_t i = 0; i < result->rows.size(); ++i) {
-      std::string line =
-          attribute_roots ? result->roots[i].ToString() + " -> " : "";
-      for (const Value& value : result->rows[i]) {
-        line += value.ToString() + "|";
-      }
-      lines.push_back(std::move(line));
-    }
-    return lines;
+  for (const Case& c : kCases) {
+    std::vector<std::string> rows = Render(c.query, false);
+    EXPECT_EQ(rows.size(), c.rows) << c.query;
+    EXPECT_EQ(rows, Render(c.reference, false)) << c.query;
+    EXPECT_EQ(Render(c.query, true), Render(c.reference, true)) << c.query;
+  }
+}
+
+// ---- Shared walk ------------------------------------------------------------
+
+// A closure variable that only `where` tests is never bound: one walk over
+// the union of the closures decides every binding. Each query is compared
+// with a reference the rule does not match, the same text plus the always
+// true `(A = A or P = P)`, which reads both variables: rows in order, and
+// under attribute_roots rows and roots in order.
+TEST_F(PqlEvalTest, SharedWalkAnswersLikeBindingEveryAncestor) {
+  Put({5, 0}, core::Record::Annotation("taint", int64_t{1}));  // anatomy2
+  Put({7, 0}, core::Record::Annotation("taint", int64_t{1}));  // otherproc
+  // A cycle a -> b -> c -> a with a tail pointing into it, tainted at a.
+  const char* kPipes[] = {"cyc-a", "cyc-b", "cyc-c", "cyc-tail"};
+  for (int i = 0; i < 4; ++i) {
+    core::ObjectRef ref{static_cast<core::PnodeId>(8 + i), 0};
+    Put(ref, core::Record::Name(kPipes[i]));
+    Put(ref, core::Record::Type("PIPE"));
+  }
+  Edge({8, 0}, {9, 0});
+  Edge({9, 0}, {10, 0});
+  Edge({10, 0}, {8, 0});
+  Edge({11, 0}, {8, 0});
+  Put({8, 0}, core::Record::Annotation("taint", int64_t{1}));
+
+  struct Case {
+    std::string query;
+    std::string reference;
+    size_t rows;
+  };
+  auto with = [](const std::string& query, const std::string& root) {
+    return query + " and (A = A or " + root + " = " + root + ")";
+  };
+  auto plain = [&](const std::string& query, size_t rows) {
+    return Case{query, with(query, "P"), rows};
+  };
+  const std::string kProcs = "select P.name from Provenance.process as P ";
+  const std::string kFiles = "select P.name from Provenance.file as P ";
+  const std::string kPipeRoots = "select P.name from Provenance.pipe as P ";
+  const Case kCases[] = {
+      plain(kProcs + "P.input* as A where A.taint = 1", 3),
+      plain(kProcs + "P.input+ as A where A.taint = 1", 2),
+      // reslice1 passes the test as softmean's member, but is not in its
+      // own `+` closure.
+      plain(kProcs + "P.input+ as A where A.name = \"reslice1\"", 1),
+      plain(kFiles + "P.~input* as A where A.taint = 1", 1),
+      plain(kFiles + "P.~input+ as A where A.type = \"PROC\"", 2),
+      // Several tests, each on every member.
+      plain(kProcs + "P.input* as A where A.type = \"FILE\" and A.taint = 1",
+            2),
+      // Conjuncts before the tests filter the starts, ones after the kept
+      // bindings.
+      plain(kProcs + "P.input* as A where P.name != \"reslice1\" and "
+                     "A.taint = 1 and exists(P.input)",
+            1),
+      // Name-root binding first, then the walk.
+      plain(kProcs + "P.input* as A where P.name = \"reslice1\" and "
+                     "A.taint = 1",
+            1),
+      plain(kProcs + "P.input+ as A where P.name = \"otherproc\" and "
+                     "A.taint = 1",
+            0),
+      // An empty `+` closure binds no A, so no conjunct runs on it: the
+      // unbound `ghost` is never read.
+      plain(kProcs + "P.input+ as A where P.name = \"otherproc\" and "
+                     "ghost.name = 1 and A.taint = 1",
+            0),
+      // No test at all: a binding is kept if its closure is not empty.
+      {kProcs + "P.input+ as A", kProcs + "P.input+ as A where A = A or P = P",
+       2},
+      // A three-item FROM walks from the middle variable.
+      {"select F.name from Provenance.file as F F.input as G G.input* as A "
+       "where A.taint = 1",
+       with("select F.name from Provenance.file as F F.input as G "
+            "G.input* as A where A.taint = 1",
+            "F"),
+       2},
+      // Each union branch walks on its own.
+      {kFiles + "P.~input+ as A where A.type = \"PROC\" union " + kProcs +
+           "P.input+ as A where A.taint = 1",
+       with(kFiles + "P.~input+ as A where A.type = \"PROC\"", "P") +
+           " union " + with(kProcs + "P.input+ as A where A.taint = 1", "P"),
+       4},
+      // A subquery, re-evaluated per outer binding, walks from a variable
+      // bound from the outer one.
+      {"select F.name from Provenance.file as F where exists(select P "
+       "from F.input as P P.input* as A where A.taint = 1)",
+       "select F.name from Provenance.file as F where exists(" +
+           with("select P from F.input as P P.input* as A where A.taint = 1",
+                "P") +
+           ")",
+       2},
+      // The cycle, on every closure kind.
+      plain(kPipeRoots + "P.input* as A where A.taint = 1", 4),
+      plain(kPipeRoots + "P.input+ as A where A.taint = 1", 4),
+      plain(kPipeRoots + "P.~input* as A where A.taint = 1", 3),
+      plain(kPipeRoots + "P.~input+ as A where A.taint = 1", 3),
+      // Not the rule's shape: select reads A, or a conjunct on P sits
+      // between two tests.
+      plain("select A.name from Provenance.process as P P.input* as A "
+            "where A.taint = 1",
+            2),
+      plain(kProcs + "P.input* as A where A.taint = 1 and "
+                     "P.name != \"reslice1\" and A.type = \"FILE\"",
+            1),
   };
   for (const Case& c : kCases) {
-    std::vector<std::string> rows = render(c.query, false);
+    std::vector<std::string> rows = Render(c.query, false);
     EXPECT_EQ(rows.size(), c.rows) << c.query;
-    EXPECT_EQ(rows, render(c.reference, false)) << c.query;
-    EXPECT_EQ(render(c.query, true), render(c.reference, true)) << c.query;
+    EXPECT_EQ(rows, Render(c.reference, false)) << c.query;
+    EXPECT_EQ(Render(c.query, true), Render(c.reference, true)) << c.query;
   }
+}
+
+// A 64-file chain /f64 -> /f63 -> ... -> /f1 along `input`, with only /f1
+// annotated taint = 1.
+void InsertChain(waldo::ProvDb* db) {
+  for (int i = 1; i <= 64; ++i) {
+    core::ObjectRef ref{static_cast<core::PnodeId>(i), 0};
+    db->Insert({ref, core::Record::Type("FILE")});
+    db->Insert({ref, core::Record::Name("/f" + std::to_string(i))});
+    if (i > 1) {
+      db->Insert({ref, core::Record::Input(
+                           {static_cast<core::PnodeId>(i - 1), 0})});
+    }
+  }
+  db->Insert({{1, 0}, core::Record::Annotation("taint", int64_t{1})});
+}
+
+const char kChainTaint[] =
+    "select F.name from Provenance.file as F F.input* as A "
+    "where A.taint = 1";
+
+// Every file's closure on the chain ends at /f1, and the closures nest: one
+// batched expansion of all 64 roots reaches nothing new, and each file is
+// tested once. Binding every ancestor of every file instead expands the
+// 64 * 65 / 2 = 2080 pairs one root at a time, and tests each pair.
+TEST(PqlSharedWalkTest, OneBatchedCallPerLevelAndOneTestPerMember) {
+  waldo::ProvDb db;
+  InsertChain(&db);
+  ProvDbSource source(&db);
+  auto taint_lookups = [](const CountingSource& counting) {
+    size_t nodes = 0;
+    for (size_t i = 0; i < counting.attribute_names.size(); ++i) {
+      if (counting.attribute_names[i] == "taint") {
+        nodes += counting.attribute_batches[i];
+      }
+    }
+    return nodes;
+  };
+
+  CountingSource counting(&source);
+  auto walked = Engine(&counting).Run(kChainTaint);
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(walked->rows.size(), 64u);
+  EXPECT_EQ(counting.follow_many_calls, 1u);
+  EXPECT_EQ(counting.max_follow_batch, 64u);
+  EXPECT_EQ(counting.followed.size(), 64u);
+  EXPECT_EQ(taint_lookups(counting), 64u);
+  EXPECT_EQ(std::count(counting.attribute_names.begin(),
+                       counting.attribute_names.end(), "taint"),
+            64);
+
+  // Not the rule's shape (a conjunct on F between two tests): every
+  // ancestor of every file is bound.
+  CountingSource bound(&source);
+  auto every = Engine(&bound).Run(
+      "select F.name from Provenance.file as F F.input* as A "
+      "where A.taint = 1 and F.name like \"/f*\" and A.taint = 1");
+  ASSERT_TRUE(every.ok()) << every.status().ToString();
+  EXPECT_EQ(every->rows.size(), 64u);
+  EXPECT_EQ(bound.follow_many_calls, 2080u);
+  // The first test runs on all 2080 pairs, the second on the 64 that pass.
+  EXPECT_EQ(taint_lookups(bound), 2080u + 64u);
 }
 
 TEST(PqlLimitsTest, BindingExplosionIsBounded) {
@@ -593,15 +773,7 @@ TEST(PqlLimitsTest, BindingExplosionIsBounded) {
 // ancestors, but the named tail's ancestry is 64.
 TEST(PqlLimitsTest, NameFilteredClosureBindsOnlyTheNamedRoot) {
   waldo::ProvDb db;
-  for (int i = 1; i <= 64; ++i) {
-    core::ObjectRef ref{static_cast<core::PnodeId>(i), 0};
-    db.Insert({ref, core::Record::Type("FILE")});
-    db.Insert({ref, core::Record::Name("/f" + std::to_string(i))});
-    if (i > 1) {
-      db.Insert({ref, core::Record::Input(
-                          {static_cast<core::PnodeId>(i - 1), 0})});
-    }
-  }
+  InsertChain(&db);
   ProvDbSource source(&db);
   QueryOptions options;
   options.limits.max_bindings = 100;
@@ -616,6 +788,31 @@ TEST(PqlLimitsTest, NameFilteredClosureBindsOnlyTheNamedRoot) {
   auto named = engine.Run(kClosure + "where F.name = \"/f64\"");
   ASSERT_TRUE(named.ok()) << named.status().ToString();
   EXPECT_EQ(named->rows.size(), 64u);
+}
+
+// A walked variable adds no bindings, and the walk's distinct nodes count
+// against max_closure_nodes: the chain's walk binds 64 files and visits 64
+// nodes, where binding every ancestor binds 2080.
+TEST(PqlLimitsTest, SharedWalkBindsNoClosureMembers) {
+  waldo::ProvDb db;
+  InsertChain(&db);
+  ProvDbSource source(&db);
+  QueryOptions options;
+  options.limits.max_bindings = 100;
+
+  auto walked = Engine(&source, options).Run(kChainTaint);
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(walked->rows.size(), 64u);
+
+  auto bound = Engine(&source, options)
+                   .Run(std::string(kChainTaint) + " and (A = A or F = F)");
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.status().code(), Code::kUnavailable);
+
+  options.limits.max_closure_nodes = 63;
+  auto capped = Engine(&source, options).Run(kChainTaint);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), Code::kUnavailable);
 }
 
 }  // namespace
