@@ -2,8 +2,42 @@
 
 #include "src/util/crc32.h"
 #include "src/util/encode.h"
+#include "src/util/logging.h"
 
 namespace pass::waldo {
+namespace {
+
+// One segment frame: u32 payload length, u32 CRC-32 of the payload, then
+// the payload (u8 tombstone flag, length-prefixed key, length-prefixed
+// value). The views borrow the decoder's input.
+struct Frame {
+  bool tombstone = false;
+  std::string_view key;
+  std::string_view value;
+};
+
+Result<std::string_view> LengthPrefixed(Decoder* in) {
+  PASS_ASSIGN_OR_RETURN(uint32_t len, in->U32());
+  return in->Raw(len);
+}
+
+Result<Frame> ReadFrame(Decoder* in) {
+  PASS_ASSIGN_OR_RETURN(uint32_t len, in->U32());
+  PASS_ASSIGN_OR_RETURN(uint32_t crc, in->U32());
+  PASS_ASSIGN_OR_RETURN(std::string_view payload, in->Raw(len));
+  if (Crc32(payload) != crc) {
+    return Corrupt("kvstore: CRC mismatch");
+  }
+  Decoder body(payload);
+  Frame frame;
+  PASS_ASSIGN_OR_RETURN(uint8_t tombstone, body.U8());
+  frame.tombstone = tombstone != 0;
+  PASS_ASSIGN_OR_RETURN(frame.key, LengthPrefixed(&body));
+  PASS_ASSIGN_OR_RETURN(frame.value, LengthPrefixed(&body));
+  return frame;
+}
+
+}  // namespace
 
 void KvStore::AppendEntry(std::string_view key, std::string_view value,
                           bool tombstone) {
@@ -25,34 +59,23 @@ void KvStore::AppendEntry(std::string_view key, std::string_view value,
 
 void KvStore::Put(std::string_view key, std::string_view value) {
   AppendEntry(key, value, /*tombstone=*/false);
-  index_[std::string(key)].emplace_back(value);
-  live_bytes_ += key.size() + value.size() + 9;
+  uint64_t bytes = key.size() + value.size() + 9;
+  LiveKey& live = live_[std::string(key)];
+  ++live.entries;
+  live.bytes += bytes;
+  live_bytes_ += bytes;
   ++entries_;
 }
 
-std::vector<std::string> KvStore::Get(std::string_view key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    return {};
-  }
-  return it->second;
-}
-
-bool KvStore::Contains(std::string_view key) const {
-  return index_.find(key) != index_.end();
-}
-
 void KvStore::Delete(std::string_view key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  auto it = live_.find(key);
+  if (it == live_.end()) {
     return;
   }
-  for (const std::string& value : it->second) {
-    dead_bytes_ += key.size() + value.size() + 9;
-    live_bytes_ -= key.size() + value.size() + 9;
-    --entries_;
-  }
-  index_.erase(it);
+  dead_bytes_ += it->second.bytes;
+  live_bytes_ -= it->second.bytes;
+  entries_ -= it->second.entries;
+  live_.erase(it);
   AppendEntry(key, "", /*tombstone=*/true);
   ++tombstones_;
   MaybeAutoCompact();
@@ -78,45 +101,41 @@ void KvStore::MaybeAutoCompact() {
 void KvStore::Scan(std::string_view prefix,
                    const std::function<void(std::string_view,
                                             std::string_view)>& fn) const {
-  for (auto it = index_.lower_bound(prefix); it != index_.end(); ++it) {
-    std::string_view key = it->first;
-    if (key.substr(0, prefix.size()) != prefix) {
-      break;
+  // Replay the segments this store wrote: a key's live values are the ones
+  // put since its last tombstone. The views borrow segments_.
+  std::map<std::string_view, std::vector<std::string_view>> live;
+  for (const std::string& segment : segments_) {
+    Decoder in(segment);
+    while (!in.done()) {
+      auto frame = ReadFrame(&in);
+      PASS_CHECK(frame.ok());
+      if (!frame->key.starts_with(prefix)) {
+        continue;
+      }
+      if (frame->tombstone) {
+        live.erase(frame->key);
+      } else {
+        live[frame->key].push_back(frame->value);
+      }
     }
-    for (const std::string& value : it->second) {
+  }
+  for (const auto& [key, values] : live) {
+    for (std::string_view value : values) {
       fn(key, value);
     }
   }
 }
 
 uint64_t KvStore::Compact() {
-  uint64_t before = 0;
-  for (const std::string& segment : segments_) {
-    before += segment.size();
-  }
-  std::vector<std::string> fresh;
-  fresh.emplace_back();
-  std::vector<std::string> old_segments = std::move(segments_);
-  segments_ = std::move(fresh);
-  uint64_t old_entries = entries_;
-  entries_ = 0;
-  live_bytes_ = 0;
-  dead_bytes_ = 0;
-  tombstones_ = 0;
-  auto index = std::move(index_);
-  index_.clear();
-  for (auto& [key, values] : index) {
-    for (auto& value : values) {
-      Put(key, value);
-    }
-  }
-  (void)old_entries;
-  uint64_t after = 0;
-  for (const std::string& segment : segments_) {
-    after += segment.size();
-  }
-  ++compactions_;
-  return before > after ? before - after : 0;
+  KvStore fresh(segment_bytes_, auto_compact_);
+  Scan("", [&](std::string_view key, std::string_view value) {
+    fresh.Put(key, value);
+  });
+  // The rewrite keeps a subset of the old frames, so it never grows.
+  uint64_t reclaimed = TotalSegmentBytes() - fresh.TotalSegmentBytes();
+  fresh.compactions_ = compactions_ + 1;
+  *this = std::move(fresh);
+  return reclaimed;
 }
 
 std::string KvStore::Serialize() const {
@@ -134,30 +153,11 @@ Result<KvStore> KvStore::Deserialize(std::string_view image) {
   store.auto_compact_ = false;
   Decoder in(image);
   while (!in.done()) {
-    PASS_ASSIGN_OR_RETURN(uint32_t len, in.U32());
-    PASS_ASSIGN_OR_RETURN(uint32_t crc, in.U32());
-    if (in.remaining() < len) {
-      return Corrupt("kvstore: truncated frame");
-    }
-    // Reconstruct the payload view for CRC verification.
-    std::string_view payload =
-        image.substr(in.position(), len);
-    if (Crc32(payload) != crc) {
-      return Corrupt("kvstore: CRC mismatch");
-    }
-    Decoder body(payload);
-    PASS_ASSIGN_OR_RETURN(uint8_t tombstone, body.U8());
-    PASS_ASSIGN_OR_RETURN(std::string key, body.Bytes());
-    PASS_ASSIGN_OR_RETURN(std::string value, body.Bytes());
-    if (tombstone != 0) {
-      store.Delete(key);
+    PASS_ASSIGN_OR_RETURN(Frame frame, ReadFrame(&in));
+    if (frame.tombstone) {
+      store.Delete(frame.key);
     } else {
-      store.Put(key, value);
-    }
-    // Skip over the payload in the outer decoder.
-    for (uint32_t i = 0; i < len; ++i) {
-      PASS_ASSIGN_OR_RETURN(uint8_t unused, in.U8());
-      (void)unused;
+      store.Put(frame.key, frame.value);
     }
   }
   store.auto_compact_ = true;
@@ -169,9 +169,7 @@ KvStats KvStore::stats() const {
   stats.entries = entries_;
   stats.tombstones = tombstones_;
   stats.segments = segments_.size();
-  for (const std::string& segment : segments_) {
-    stats.bytes += segment.size();
-  }
+  stats.bytes = TotalSegmentBytes();
   stats.live_bytes = live_bytes_;
   stats.compactions = compactions_;
   return stats;

@@ -3,9 +3,14 @@
 
 // Append-only key/value segment store — the storage engine under Waldo's
 // provenance database (the paper used Berkeley DB; this is a small
-// log-structured equivalent). Keys may repeat: Get returns every live value
-// in insertion order. Space accounting (Table 3) is the total size of the
-// live segment bytes, which is exactly what the serialized database would
+// log-structured equivalent). Keys may repeat: a key holds every value put
+// since its last Delete, in insertion order. In memory the store keeps its
+// segments plus, per live key, the entry count and byte total that Delete
+// moves to the dead tail. Scan and Compact replay the segments, so the store
+// is no fast read path (ProvDb's mirrors are); a bad frame there is a broken
+// invariant and aborts, while Deserialize, which reads an image from outside
+// the process, returns Corrupt. Space accounting (Table 3) is the total size
+// of the segment bytes, which is exactly what the serialized database would
 // occupy on disk.
 
 #include <cstdint>
@@ -41,20 +46,18 @@ class KvStore {
   // Append a value under `key` (keys are multi-valued).
   void Put(std::string_view key, std::string_view value);
 
-  // All live values for `key`, oldest first.
-  std::vector<std::string> Get(std::string_view key) const;
-  bool Contains(std::string_view key) const;
-
   // Remove all values for `key` (tombstone; space reclaimed by Compact).
   void Delete(std::string_view key);
 
   // Visit every live (key, value) whose key starts with `prefix`, in key
-  // order.
+  // order and, within a key, in insertion order. The views borrow the
+  // segments, so `fn` must not modify this store.
   void Scan(std::string_view prefix,
             const std::function<void(std::string_view key,
                                      std::string_view value)>& fn) const;
 
-  // Rewrite segments dropping dead entries. Returns bytes reclaimed.
+  // Rewrite segments dropping dead entries: the live entries in key order,
+  // each key's values in insertion order. Returns bytes reclaimed.
   uint64_t Compact();
 
   // Serialize the whole store (segment stream) / rebuild from it. Used to
@@ -73,8 +76,12 @@ class KvStore {
   uint64_t segment_bytes_;
   bool auto_compact_ = true;
   std::vector<std::string> segments_;
-  // Live index: key -> values (the in-memory read path).
-  std::map<std::string, std::vector<std::string>, std::less<>> index_;
+  // Per live key: how many entries it holds and their byte total.
+  struct LiveKey {
+    uint64_t entries = 0;
+    uint64_t bytes = 0;
+  };
+  std::map<std::string, LiveKey, std::less<>> live_;
   uint64_t live_bytes_ = 0;
   uint64_t dead_bytes_ = 0;
   uint64_t entries_ = 0;

@@ -27,24 +27,12 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
   const core::Record& record = entry.record;
 
   ++mutation_count_;
-  versions_[subject.pnode].insert(subject.version);
-
   if (record.attr == core::Attr::kInput) {
-    const auto* ancestor = std::get_if<core::ObjectRef>(&record.value);
-    if (ancestor == nullptr) {
-      return;
+    if (const auto* ancestor = std::get_if<core::ObjectRef>(&record.value)) {
+      WriteEdge(subject, *ancestor, /*forward=*/true, /*reverse=*/true);
+    } else {
+      versions_[subject.pnode].insert(subject.version);  // no edge to store
     }
-    // Forward row keys by the subject, reverse row by the ancestor.
-    ++range_mutations_[RangeBucketOf(subject.pnode)];
-    ++range_mutations_[RangeBucketOf(ancestor->pnode)];
-    inputs_[subject].push_back(*ancestor);
-    input_set_[subject].insert(*ancestor);
-    outputs_[*ancestor].push_back(subject);
-    output_set_[*ancestor].insert(subject);
-    versions_[ancestor->pnode].insert(ancestor->version);
-    indexes_.Put(RefKey('i', subject), EncodeRef(*ancestor));
-    indexes_.Put(RefKey('o', *ancestor), EncodeRef(subject));
-    ++edge_count_;
     return;
   }
 
@@ -53,21 +41,55 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
   std::string encoded;
   core::EncodeRecord(&encoded, record);
   records_.Put(RefKey('r', subject), encoded);
-  attrs_[subject].push_back(record);
-  attr_hashes_[subject].insert(core::RecordHash(record));
-  ++record_count_;
+  if (const auto* text = std::get_if<std::string>(&record.value)) {
+    if (record.attr == core::Attr::kName) {
+      indexes_.Put("n/" + *text, EncodeRef(subject));
+    } else if (record.attr == core::Attr::kType) {
+      indexes_.Put("t/" + *text, EncodeRef(subject));
+    }
+  }
+  MirrorAttr(subject, record);
+}
 
-  if (record.attr == core::Attr::kName) {
-    if (const auto* name = std::get_if<std::string>(&record.value)) {
-      by_name_[*name].insert(subject.pnode);
-      names_[subject.pnode] = *name;
-      indexes_.Put("n/" + *name, EncodeRef(subject));
+void ProvDb::WriteEdge(const core::ObjectRef& subject,
+                       const core::ObjectRef& ancestor, bool forward,
+                       bool reverse) {
+  if (forward) {
+    ++range_mutations_[RangeBucketOf(subject.pnode)];
+    indexes_.Put(RefKey('i', subject), EncodeRef(ancestor));
+  }
+  if (reverse) {
+    ++range_mutations_[RangeBucketOf(ancestor.pnode)];
+    indexes_.Put(RefKey('o', ancestor), EncodeRef(subject));
+  }
+  MirrorEdge(subject, ancestor, forward, reverse);
+}
+
+void ProvDb::MirrorAttr(const core::ObjectRef& subject, core::Record record) {
+  versions_[subject.pnode].insert(subject.version);
+  if (const auto* text = std::get_if<std::string>(&record.value)) {
+    if (record.attr == core::Attr::kName) {
+      by_name_[*text].insert(subject.pnode);
+      names_[subject.pnode] = *text;
+    } else if (record.attr == core::Attr::kType) {
+      by_type_[*text].insert(subject.pnode);
     }
-  } else if (record.attr == core::Attr::kType) {
-    if (const auto* type = std::get_if<std::string>(&record.value)) {
-      by_type_[*type].insert(subject.pnode);
-      indexes_.Put("t/" + *type, EncodeRef(subject));
-    }
+  }
+  attrs_[subject].push_back(std::move(record));
+  ++record_count_;
+}
+
+void ProvDb::MirrorEdge(const core::ObjectRef& subject,
+                        const core::ObjectRef& ancestor, bool forward,
+                        bool reverse) {
+  versions_[subject.pnode].insert(subject.version);
+  versions_[ancestor.pnode].insert(ancestor.version);
+  if (forward) {
+    inputs_[subject].push_back(ancestor);
+    ++edge_count_;  // edge_count_ counts forward rows
+  }
+  if (reverse) {
+    outputs_[ancestor].push_back(subject);
   }
 }
 
@@ -195,16 +217,9 @@ std::string ProvDb::TypeOf(core::PnodeId pnode) const {
 
 namespace {
 
-// Membership in a map-of-sets shadow: O(log n) both levels.
+// Whether the mirror row vector of `key` holds `value`.
 template <typename Map, typename Key, typename Value>
-bool MapRowContains(const Map& map, const Key& key, const Value& value) {
-  auto it = map.find(key);
-  return it != map.end() && it->second.count(value) > 0;
-}
-
-// Membership in a map-of-vectors mirror (hash-hit confirmation only).
-template <typename Map, typename Key, typename Value>
-bool VectorRowContains(const Map& map, const Key& key, const Value& value) {
+bool RowContains(const Map& map, const Key& key, const Value& value) {
   auto it = map.find(key);
   return it != map.end() &&
          std::find(it->second.begin(), it->second.end(), value) !=
@@ -220,33 +235,16 @@ bool ProvDb::InsertUnique(const lasagna::LogEntry& entry) {
     if (ancestor == nullptr) {
       return false;
     }
-    bool have_forward = MapRowContains(input_set_, subject, *ancestor);
-    bool have_reverse = MapRowContains(output_set_, *ancestor, subject);
-    if (have_forward && have_reverse) {
+    bool forward = !RowContains(inputs_, subject, *ancestor);
+    bool reverse = !RowContains(outputs_, *ancestor, subject);
+    if (!forward && !reverse) {
       return false;
     }
     ++mutation_count_;
-    versions_[subject.pnode].insert(subject.version);
-    versions_[ancestor->pnode].insert(ancestor->version);
-    if (!have_forward) {
-      ++range_mutations_[RangeBucketOf(subject.pnode)];
-      inputs_[subject].push_back(*ancestor);
-      input_set_[subject].insert(*ancestor);
-      indexes_.Put(RefKey('i', subject), EncodeRef(*ancestor));
-      ++edge_count_;  // edge_count_ counts forward rows
-    }
-    if (!have_reverse) {
-      ++range_mutations_[RangeBucketOf(ancestor->pnode)];
-      outputs_[*ancestor].push_back(subject);
-      output_set_[*ancestor].insert(subject);
-      indexes_.Put(RefKey('o', *ancestor), EncodeRef(subject));
-    }
+    WriteEdge(subject, *ancestor, forward, reverse);
     return true;
   }
-  // Hash shadow first: a miss proves the record is new without scanning
-  // the row vector; a hit is confirmed against the real rows.
-  if (MapRowContains(attr_hashes_, subject, core::RecordHash(entry.record)) &&
-      VectorRowContains(attrs_, subject, entry.record)) {
+  if (RowContains(attrs_, subject, entry.record)) {
     return false;
   }
   Insert(entry);
@@ -308,16 +306,6 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
   }
   uint64_t removed = 0;
   const core::ObjectRef lo{begin, 0};
-  // Membership shadows shed the same key ranges as their mirrors.
-  auto erase_ref_range = [&](auto& map) {
-    auto it = map.lower_bound(lo);
-    while (it != map.end() && it->first.pnode < end) {
-      it = map.erase(it);
-    }
-  };
-  erase_ref_range(attr_hashes_);
-  erase_ref_range(input_set_);
-  erase_ref_range(output_set_);
   // Names/types referenced by in-range subjects: only their index keys can
   // need rewriting below.
   std::set<std::string> touched_names;
@@ -465,76 +453,47 @@ Result<ProvDb> ProvDb::Deserialize(std::string_view image) {
   db.records_ = std::move(records);
   db.indexes_ = std::move(indexes);
 
-  // Rebuild the in-memory mirrors. The records store carries every
-  // attribute record; the 'i/' index carries every edge; everything else
-  // ('o/', 'n/', 't/') is derived.
+  // Rebuild the mirrors through the row kinds' mirror paths. The records
+  // store carries every attribute record, the 'i/' keys every forward row
+  // and the 'o/' keys every reverse row; 'n/' and 't/' are derived. Reverse
+  // rows come solely from 'o/' keys, never from 'i/': range deletion and
+  // half-row insertion keep the two key families independently exact, so an
+  // edge half dropped by DeleteRange (its twin keyed outside the range)
+  // stays dropped across a round trip.
   Status failure = Status::Ok();
-  db.records_.Scan("r/", [&](std::string_view key, std::string_view value) {
-    auto ref = ParseRefKey(key);
-    if (!ref.ok()) {
-      failure = ref.status();
-      return;
-    }
-    Decoder body(value);
-    auto record = core::DecodeRecord(&body);
-    if (!record.ok()) {
-      failure = record.status();
-      return;
-    }
-    db.versions_[ref->pnode].insert(ref->version);
-    if (record->attr == core::Attr::kName) {
-      if (const auto* name = std::get_if<std::string>(&record->value)) {
-        db.by_name_[*name].insert(ref->pnode);
-        db.names_[ref->pnode] = *name;
+  // Hands each row under `prefix` to `row` as its parsed key ref and a
+  // decoder over its value; the first failure stops the rebuild.
+  auto replay = [&](const KvStore& store, std::string_view prefix,
+                    const auto& row) {
+    store.Scan(prefix, [&](std::string_view key, std::string_view value) {
+      if (!failure.ok()) {
+        return;
       }
-    } else if (record->attr == core::Attr::kType) {
-      if (const auto* type = std::get_if<std::string>(&record->value)) {
-        db.by_type_[*type].insert(ref->pnode);
+      auto ref = ParseRefKey(key);
+      if (!ref.ok()) {
+        failure = ref.status();
+        return;
       }
-    }
-    db.attr_hashes_[*ref].insert(core::RecordHash(*record));
-    db.attrs_[*ref].push_back(*std::move(record));
-    ++db.record_count_;
+      Decoder body(value);
+      failure = row(*ref, &body);
+    });
+  };
+  replay(db.records_, "r/", [&](const core::ObjectRef& subject, Decoder* body) {
+    PASS_ASSIGN_OR_RETURN(core::Record record, core::DecodeRecord(body));
+    db.MirrorAttr(subject, std::move(record));
+    return Status::Ok();
   });
-  db.indexes_.Scan("i/", [&](std::string_view key, std::string_view value) {
-    auto subject = ParseRefKey(key);
-    if (!subject.ok()) {
-      failure = subject.status();
-      return;
-    }
-    Decoder body(value);
-    auto ancestor = core::DecodeObjectRef(&body);
-    if (!ancestor.ok()) {
-      failure = ancestor.status();
-      return;
-    }
-    db.inputs_[*subject].push_back(*ancestor);
-    db.input_set_[*subject].insert(*ancestor);
-    db.versions_[subject->pnode].insert(subject->version);
-    db.versions_[ancestor->pnode].insert(ancestor->version);
-    ++db.edge_count_;
+  replay(db.indexes_, "i/", [&](const core::ObjectRef& subject, Decoder* body) {
+    PASS_ASSIGN_OR_RETURN(core::ObjectRef ancestor,
+                          core::DecodeObjectRef(body));
+    db.MirrorEdge(subject, ancestor, /*forward=*/true, /*reverse=*/false);
+    return Status::Ok();
   });
-  // Reverse rows come solely from 'o/' keys — never derived from 'i/'.
-  // Range deletion and half-row insertion keep the two key families
-  // independently exact, so an edge half dropped by DeleteRange (its twin
-  // keyed outside the range) stays dropped across a round trip, and each
-  // per-ancestor row list keeps its original insertion order.
-  db.indexes_.Scan("o/", [&](std::string_view key, std::string_view value) {
-    auto ancestor = ParseRefKey(key);
-    if (!ancestor.ok()) {
-      failure = ancestor.status();
-      return;
-    }
-    Decoder body(value);
-    auto subject = core::DecodeObjectRef(&body);
-    if (!subject.ok()) {
-      failure = subject.status();
-      return;
-    }
-    db.outputs_[*ancestor].push_back(*subject);
-    db.output_set_[*ancestor].insert(*subject);
-    db.versions_[subject->pnode].insert(subject->version);
-    db.versions_[ancestor->pnode].insert(ancestor->version);
+  replay(db.indexes_, "o/", [&](const core::ObjectRef& ancestor, Decoder* body) {
+    PASS_ASSIGN_OR_RETURN(core::ObjectRef subject,
+                          core::DecodeObjectRef(body));
+    db.MirrorEdge(subject, ancestor, /*forward=*/false, /*reverse=*/true);
+    return Status::Ok();
   });
   if (!failure.ok()) {
     return failure;

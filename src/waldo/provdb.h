@@ -13,8 +13,10 @@
 //                   i/<pnode>/<version> -> encoded ancestor (INPUT edges)
 //                   o/<pnode>/<version> -> encoded child    (reverse edges)
 //
-// Fast in-memory mirrors back the query API; the KvStores are the
-// persistent representation (round-trip tested).
+// Each row lives twice: as a store frame, the on-disk image Table 3 counts,
+// and in an in-memory mirror (attrs_, inputs_, outputs_), the only read
+// path. No query reads a store; Deserialize rebuilds the mirrors by
+// replaying the stores (round-trip tested).
 
 #include <map>
 #include <set>
@@ -175,26 +177,30 @@ class ProvDb {
   std::string Serialize() const;
   static Result<ProvDb> Deserialize(std::string_view image);
 
-  const KvStore& record_store() const { return records_; }
-  const KvStore& index_store() const { return indexes_; }
-
  private:
+  // Shared row paths. Insert writes an attribute row's store frames itself;
+  // WriteEdge writes the requested halves of an INPUT edge (the forward 'i/'
+  // row keyed by the subject, the reverse 'o/' row keyed by the ancestor)
+  // and bumps their keying buckets. Both then call the kind's Mirror* path,
+  // which keeps the mirror and its bookkeeping (versions_, names_, by_name_,
+  // by_type_, the row counts). Deserialize calls only the Mirror* paths, so
+  // a restore writes no store frame and moves no fingerprint.
+  void WriteEdge(const core::ObjectRef& subject,
+                 const core::ObjectRef& ancestor, bool forward, bool reverse);
+  void MirrorAttr(const core::ObjectRef& subject, core::Record record);
+  void MirrorEdge(const core::ObjectRef& subject,
+                  const core::ObjectRef& ancestor, bool forward, bool reverse);
+
   KvStore records_{/*segment_bytes=*/4u << 20};
   KvStore indexes_{/*segment_bytes=*/4u << 20};
 
-  // In-memory mirrors.
+  // In-memory mirrors, each key's rows in insertion order (query results
+  // and the portal cache's access order follow it). InsertUnique checks
+  // membership by scanning a key's row vector: attribute and forward-edge
+  // lists hold a handful of rows, and most reverse lists 16 or fewer.
   std::map<core::ObjectRef, std::vector<core::Record>> attrs_;
   std::map<core::ObjectRef, std::vector<core::ObjectRef>> inputs_;
   std::map<core::ObjectRef, std::vector<core::ObjectRef>> outputs_;
-  // Membership shadows of the three mirrors above, so InsertUnique — the
-  // hot path of replication redelivery and migration — answers "is this
-  // row already here" in O(log n) instead of scanning the row vector (the
-  // vectors stay authoritative: they keep per-key insertion order for the
-  // query surface). Attribute rows shadow as content hashes; a hash hit is
-  // confirmed against the real rows before an entry is dropped.
-  std::map<core::ObjectRef, std::set<core::ObjectRef>> input_set_;
-  std::map<core::ObjectRef, std::set<core::ObjectRef>> output_set_;
-  std::map<core::ObjectRef, std::set<uint64_t>> attr_hashes_;
   std::map<core::PnodeId, std::set<core::Version>> versions_;
   std::map<std::string, std::set<core::PnodeId>> by_name_;
   std::map<std::string, std::set<core::PnodeId>> by_type_;

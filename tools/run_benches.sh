@@ -6,7 +6,11 @@
 #   full  the regular build: every gated bench at its CI scale, then the
 #         structural check of fig7's Chrome trace.
 #   asan  a sanitizer build: the same benches minus the wall-clock ones
-#         (fig4, fig7), at smaller scales.
+#         (fig4, fig7), the figures at smaller scales.
+#
+# The first five runs of each mode take no scale: the single-machine
+# PASSv2 benches, whose PASS_CHECKs cover every layer from the kernel to
+# Waldo's database (fig2_pipeline prints its exact db_bytes/index_bytes).
 #
 # Each bench PASS_CHECKs its own gates and exits nonzero on a failure, so
 # the script stops at the first failing bench. A bench's stdout lands in
@@ -24,6 +28,11 @@ mode="$2"
 case "$mode" in
   full)
     runs=(
+      "table1_records"
+      "fig1_layering"
+      "fig2_pipeline"
+      "table3_space"
+      "ablation_logpath"
       "fig3_cluster"
       "fig4_rebalance 48"
       "fig5_recovery 24"
@@ -42,6 +51,11 @@ case "$mode" in
     # errors and UBSan still fail the run.
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
     runs=(
+      "table1_records"
+      "fig1_layering"
+      "fig2_pipeline"
+      "table3_space"
+      "ablation_logpath"
       "fig3_cluster"
       "fig5_recovery 16"
       "fig6_query_cache 16"
