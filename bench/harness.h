@@ -25,11 +25,12 @@ inline bool MatchesNonEmpty(cluster::ClusterCoordinator& cluster,
 
 // A portal (shard 0) that flushes its whole result cache whenever anything
 // in the cluster changed: before each query, if the ShardMap epoch or the
-// sum of every shard's ProvDb::mutation_count() moved since the previous
-// query, the source is replaced by a freshly constructed one. This is the
-// cache a portal without per-range fingerprints must run to never serve
-// stale rows. The replacement is built with the public constructor rather
-// than ClusterCoordinator::Source(), so it takes no extra Quiesce().
+// sum of every shard's range-mutation bucket counters
+// (ProvDb::range_mutation_buckets) moved since the previous query, the
+// source is replaced by a freshly constructed one. This is the cache a
+// portal without per-range fingerprints must run to never serve stale rows.
+// The replacement is built with the public constructor rather than
+// ClusterCoordinator::Source(), so it takes no extra Quiesce().
 class FlushBaseline {
  public:
   FlushBaseline(cluster::ClusterCoordinator* cluster, size_t cache_bytes)
@@ -71,10 +72,14 @@ class FlushBaseline {
   }
 
  private:
+  // Every row write or removal bumps some bucket, so the sum moves on
+  // every change to any shard.
   uint64_t Mutations() const {
     uint64_t sum = 0;
     for (const waldo::ProvDb* db : cluster_->shard_dbs()) {
-      sum += db->mutation_count();
+      for (const auto& [bucket, count] : db->range_mutation_buckets()) {
+        sum += count;
+      }
     }
     return sum;
   }

@@ -50,9 +50,6 @@ FederatedSource::FederatedSource(std::vector<const waldo::ProvDb*> shards,
       portal_shard_(portal_shard),
       cache_capacity_(cache_bytes),
       obs_(obs) {
-  if (obs_ == nullptr) {
-    return;
-  }
   obs::MetricRegistry& metrics = obs_->metrics();
   root_set_hop_ns_ =
       &metrics.GetHistogram("query.hop_ns", {{"op", "root_set"}});
@@ -64,9 +61,6 @@ FederatedSource::FederatedSource(std::vector<const waldo::ProvDb*> shards,
 
 void FederatedSource::RecordHop(obs::Histogram* hop_ns,
                                 sim::Nanos start_ns) const {
-  if (obs_ == nullptr) {
-    return;
-  }
   hop_ns->Record(obs_->clock()->now() - start_ns);
 }
 
@@ -101,47 +95,11 @@ pql::Node FederatedSource::Latest(const waldo::ProvDb& db,
 
 // ---- Portal result cache ----------------------------------------------------
 
-void FederatedSource::ClearCache() const {
-  cache_.clear();
-  lru_.clear();
-  cache_bytes_ = 0;
-  cache_filled_ = false;
-}
-
 void FederatedSource::EraseEntry(
     std::map<CacheKey, CacheEntry>::iterator it) const {
   cache_bytes_ -= it->second.bytes;
   lru_.erase(it->second.lru);
   cache_.erase(it);
-}
-
-void FederatedSource::ValidateCache() const {
-  uint64_t epoch = map_->epoch();
-  if (epoch == cache_epoch_) {
-    return;
-  }
-  if (epoch < cache_epoch_) {
-    // The map was Reset (coordinator rebuild): its history restarted, so
-    // there is nothing to diff the cache against — drop everything.
-    if (cache_filled_) {
-      ++stats_.cache_invalidations_full;
-    }
-    ClearCache();
-    cache_epoch_ = epoch;
-    return;
-  }
-  // Epoch moved forward: only entries whose range actually changed owner
-  // since the last validation can hold stale routing. The key order (pnode
-  // first) makes each reassigned range one contiguous scan.
-  for (const core::PnodeRange& range : map_->ChangesSince(cache_epoch_)) {
-    auto it = cache_.lower_bound(CacheKey{range.begin, 0, false, 0});
-    while (it != cache_.end() && it->first.pnode < range.end) {
-      auto victim = it++;
-      EraseEntry(victim);
-      ++stats_.cache_entries_invalidated;
-    }
-  }
-  cache_epoch_ = epoch;
 }
 
 uint32_t FederatedSource::InternAttr(const std::string& attr) const {
@@ -151,17 +109,16 @@ uint32_t FederatedSource::InternAttr(const std::string& attr) const {
 }
 
 const FederatedSource::CacheEntry* FederatedSource::CacheLookup(
-    const CacheKey& key) const {
+    const CacheKey& key, int owner) const {
   auto it = cache_.find(key);
   if (it == cache_.end()) {
     return nullptr;
   }
-  // Revalidate exactly this entry: the filling shard's fingerprint for the
-  // entry's own pnode bucket. (ValidateCache already dropped entries whose
-  // range changed owner, so the filling shard is still the owner.)
+  // The one staleness rule: the entry must come from the pnode's current
+  // owner, and the owner's rows in the entry's bucket must not have moved.
   const CacheEntry& entry = it->second;
-  if (shards_[entry.shard]->range_mutation_count(key.pnode) !=
-      entry.fingerprint) {
+  if (entry.shard != owner ||
+      shards_[owner]->range_mutation_count(key.pnode) != entry.fingerprint) {
     EraseEntry(it);
     ++stats_.cache_entries_invalidated;
     return nullptr;
@@ -190,7 +147,6 @@ void FederatedSource::CacheInsert(CacheKey key, CacheEntry entry,
   entry.lru = lru_.begin();
   cache_bytes_ += entry.bytes;
   it->second = std::move(entry);
-  cache_filled_ = true;
   while (cache_bytes_ > cache_capacity_) {
     auto victim = cache_.find(lru_.back());
     cache_bytes_ -= victim->second.bytes;
@@ -203,7 +159,7 @@ void FederatedSource::CacheInsert(CacheKey key, CacheEntry entry,
 // ---- GraphSource surface ----------------------------------------------------
 
 std::vector<pql::Node> FederatedSource::RootSet(const std::string& name) const {
-  sim::Nanos hop_start = obs_ == nullptr ? 0 : obs_->clock()->now();
+  sim::Nanos hop_start = obs_->clock()->now();
   obs::ScopedSpan hop_span(Tracer(), "query.root_set");
   // Scatter-gather: ask every shard for its locally owned members of the
   // root set. Replicated foreign entries are skipped on the replica — the
@@ -243,10 +199,9 @@ std::vector<pql::Node> FederatedSource::RootSet(const std::string& name) const {
 std::vector<pql::ValueSet> FederatedSource::AttributeMany(
     const std::vector<pql::Node>& nodes, const std::string& attr) const {
   std::vector<pql::ValueSet> out(nodes.size());
-  sim::Nanos hop_start = obs_ == nullptr ? 0 : obs_->clock()->now();
+  sim::Nanos hop_start = obs_->clock()->now();
   obs::ScopedSpan hop_span(Tracer(), "query.attr_hop");
   std::string want = Lower(attr);
-  ValidateCache();
   uint32_t attr_id = InternAttr(want);  // once per hop, never per node
   // Virtual and portal-local attributes answer immediately; cached remote
   // ones fill from the cache; the rest group by owning shard.
@@ -265,7 +220,7 @@ std::vector<pql::ValueSet> FederatedSource::AttributeMany(
       continue;  // no owner: empty attribute set
     }
     if (const CacheEntry* entry = CacheLookup(
-            CacheKey{nodes[i].pnode, 0, false, attr_id})) {
+            CacheKey{nodes[i].pnode, 0, false, attr_id}, shard)) {
       out[i] = entry->values;
       continue;
     }
@@ -284,10 +239,8 @@ std::vector<pql::ValueSet> FederatedSource::AttributeMany(
     // rpc span through the propagated context, the trace-level record of
     // the request crossing the simulated shard boundary.
     obs::TraceCollector* tracer = Tracer();
-    obs::TraceContext rpc_ctx =
-        tracer == nullptr ? obs::TraceContext{} : tracer->CurrentContext();
-    obs::ScopedSpan serve_span(tracer, rpc_ctx, "shard.serve_attribute",
-                               shard);
+    obs::ScopedSpan serve_span(tracer, tracer->CurrentContext(),
+                               "shard.serve_attribute", shard);
     auto records = db->RecordsOfAllVersionsMany(pnodes);
     serve_span.End();
     uint64_t response_bytes = kPerRowResponseBytes * indexes.size();
@@ -323,12 +276,9 @@ std::vector<std::vector<pql::Node>> FederatedSource::FollowMany(
   if (link != "input") {
     return out;
   }
-  sim::Nanos hop_start = obs_ == nullptr ? 0 : obs_->clock()->now();
+  sim::Nanos hop_start = obs_->clock()->now();
   obs::ScopedSpan hop_span(Tracer(), "query.follow_hop");
-  if (obs_ != nullptr) {
-    frontier_nodes_->Record(nodes.size());
-  }
-  ValidateCache();
+  frontier_nodes_->Record(nodes.size());
   // Forward edges live with the subject's owner; reverse edges live with
   // the ancestor's owner (the ingest queue replicated them there). Either
   // way the node's own shard has the answer, so the frontier partitions
@@ -340,7 +290,7 @@ std::vector<std::vector<pql::Node>> FederatedSource::FollowMany(
       continue;  // no owner: no edges
     }
     if (const CacheEntry* entry = CacheLookup(
-            CacheKey{nodes[i].pnode, nodes[i].version, inverse, 0})) {
+            CacheKey{nodes[i].pnode, nodes[i].version, inverse, 0}, shard)) {
       out[i] = entry->nodes;
       continue;
     }
@@ -357,9 +307,8 @@ std::vector<std::vector<pql::Node>> FederatedSource::FollowMany(
     // Context propagated with the frontier RPC: the owning shard's serve
     // span links under this hop even across the simulated boundary.
     obs::TraceCollector* tracer = Tracer();
-    obs::TraceContext rpc_ctx =
-        tracer == nullptr ? obs::TraceContext{} : tracer->CurrentContext();
-    obs::ScopedSpan serve_span(tracer, rpc_ctx, "shard.serve_follow", shard);
+    obs::ScopedSpan serve_span(tracer, tracer->CurrentContext(),
+                               "shard.serve_follow", shard);
     auto results = inverse ? db->OutputsMany(refs) : db->InputsMany(refs);
     serve_span.End();
     uint64_t rows = 0;

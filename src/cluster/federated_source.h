@@ -20,14 +20,16 @@
 //
 //   * A portal result cache: a byte-bounded LRU over per-node edge lists
 //     and attribute sets, so overlapping traversals fetch each node once.
-//     Invalidation is per-entry: each entry remembers the shard it was
-//     filled from and that shard's per-range mutation fingerprint
-//     (ProvDb::range_mutation_count over power-of-two pnode buckets), and a
-//     lookup revalidates only that fingerprint — ingest into shard 3 does
-//     not evict entries homed on shard 0. ShardMap epoch bumps consult the
-//     map's epoch-change history and drop only entries whose range actually
-//     changed owner. Stale ownership or data is never served, and unrelated
-//     churn never flushes the cache.
+//     Each entry remembers the shard it was filled from and that shard's
+//     per-range mutation fingerprint (ProvDb::range_mutation_count over
+//     power-of-two pnode buckets). One rule decides staleness, on lookup: an
+//     entry is served only if its shard is still the pnode's owner under the
+//     map and that shard's fingerprint is unchanged; otherwise it is
+//     dropped. A node's answer is read only from its owner's rows keyed by
+//     that pnode, so a served entry equals a fresh read after any migration,
+//     migrate-back, deferred delete or Recover() rebuild of the map. Ingest
+//     into shard 3 does not evict entries homed on shard 0, and a migration
+//     drops only the entries whose owner changed.
 //
 // Provided the cross-shard ingest queue has replicated foreign-subject
 // records and foreign-ancestor edges (see src/cluster/ingest.h), a query
@@ -62,11 +64,8 @@ struct FederatedStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  // Invalidation accounting, split by blast radius: full clears (the
-  // ShardMap was rebuilt under the cache) vs individual entries dropped
-  // because their own range's fingerprint moved or their range changed
-  // owner.
-  uint64_t cache_invalidations_full = 0;
+  // Entries a lookup found stale and dropped: their pnode changed owner or
+  // their range's fingerprint moved on the owner.
   uint64_t cache_entries_invalidated = 0;
 };
 
@@ -75,12 +74,11 @@ class FederatedSource : public pql::GraphSource {
   static constexpr size_t kDefaultCacheBytes = 1u << 20;
 
   // `cache_bytes` bounds the portal result cache (0 disables caching).
-  // `obs` (borrowed, may be null) records query spans and hop latency
-  // histograms; ClusterCoordinator::Source wires the cluster Env's plane.
+  // `obs` (borrowed, non-null) records query spans and hop latency
+  // histograms; every caller wires the cluster Env's plane.
   FederatedSource(std::vector<const waldo::ProvDb*> shards, sim::Network* net,
-                  const ShardMap* map, int portal_shard = 0,
-                  size_t cache_bytes = kDefaultCacheBytes,
-                  obs::Observability* obs = nullptr);
+                  const ShardMap* map, int portal_shard, size_t cache_bytes,
+                  obs::Observability* obs);
 
   // Movable but not copyable: cache entries hold iterators into lru_, which
   // survive a move (std::list/map moves preserve them) but would alias the
@@ -115,8 +113,7 @@ class FederatedSource : public pql::GraphSource {
   // One cached lookup result: the edge list of (pnode, version, direction)
   // or the attribute set of (pnode, attr). Attribute names are interned to
   // small ids (InternAttr) so building a probe key on the lookup hot path
-  // never allocates. Ordered by pnode first, so invalidating a migrated
-  // pnode range is one contiguous map scan.
+  // never allocates.
   struct CacheKey {
     core::PnodeId pnode = 0;
     core::Version version = 0;  // 0 for attribute entries (object-level)
@@ -129,9 +126,9 @@ class FederatedSource : public pql::GraphSource {
     pql::ValueSet values;
     uint64_t bytes = 0;
     // Provenance of the entry itself: the shard it was fetched from and
-    // that shard's range fingerprint at fill time. A lookup revalidates by
-    // re-reading the fingerprint — cheap, allocation-free, and local to the
-    // entry's own pnode bucket.
+    // that shard's range fingerprint at fill time. A lookup compares the
+    // shard with the pnode's current owner and re-reads the fingerprint —
+    // cheap, allocation-free, and local to the entry's own pnode bucket.
     int shard = 0;
     uint64_t fingerprint = 0;
     std::list<CacheKey>::iterator lru;
@@ -148,24 +145,20 @@ class FederatedSource : public pql::GraphSource {
   // Latest version node of `pnode` in its owner's database.
   pql::Node Latest(const waldo::ProvDb& db, core::PnodeId pnode) const;
 
-  obs::TraceCollector* Tracer() const {
-    return obs_ == nullptr ? nullptr : &obs_->trace();
-  }
+  obs::TraceCollector* Tracer() const { return &obs_->trace(); }
   // Record one hop's sim-clock latency into its "query.hop_ns"{op=...}
   // series.
   void RecordHop(obs::Histogram* hop_ns, sim::Nanos start_ns) const;
 
-  // Reconcile the cache with the ShardMap epoch: entries in ranges the
-  // epoch-change history says were reassigned since the last validation are
-  // dropped; everything else survives.
-  void ValidateCache() const;
   // Small-id intern table for attribute names; allocation happens only the
   // first time a name is seen, never on a probe.
   uint32_t InternAttr(const std::string& attr) const;
-  const CacheEntry* CacheLookup(const CacheKey& key) const;
+  // The cached entry for `key` if it was filled from `owner` (the pnode's
+  // current owner under the map) and `owner`'s fingerprint for the pnode's
+  // bucket has not moved since; otherwise drops any entry and returns null.
+  const CacheEntry* CacheLookup(const CacheKey& key, int owner) const;
   void CacheInsert(CacheKey key, CacheEntry entry, int shard) const;
   void EraseEntry(std::map<CacheKey, CacheEntry>::iterator it) const;
-  void ClearCache() const;
 
   std::vector<const waldo::ProvDb*> shards_;
   sim::Network* net_;
@@ -173,7 +166,7 @@ class FederatedSource : public pql::GraphSource {
   int portal_shard_;
   size_t cache_capacity_;
   obs::Observability* obs_ = nullptr;
-  // Registry series, resolved once at construction (null without `obs_`).
+  // Registry series, resolved once at construction.
   obs::Histogram* root_set_hop_ns_ = nullptr;
   obs::Histogram* follow_hop_ns_ = nullptr;
   obs::Histogram* attribute_hop_ns_ = nullptr;
@@ -183,8 +176,6 @@ class FederatedSource : public pql::GraphSource {
   mutable std::list<CacheKey> lru_;  // front = most recently used
   mutable std::map<std::string, uint32_t> attr_ids_;  // interned attr names
   mutable size_t cache_bytes_ = 0;
-  mutable uint64_t cache_epoch_ = 0;
-  mutable bool cache_filled_ = false;
 };
 
 }  // namespace pass::cluster

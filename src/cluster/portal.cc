@@ -16,10 +16,6 @@ PortalSession::PortalSession(ClusterCoordinator* cluster, uint64_t id,
       pinned_map_(cluster->shard_map()) {
   pinned_epoch_ = pinned_map_.epoch();
   cluster_->PinEpoch(pinned_epoch_);
-  horizons_.reserve(cluster_->shard_count());
-  for (int s = 0; s < cluster_->shard_count(); ++s) {
-    horizons_.push_back(cluster_->journal(s).records_appended());
-  }
   source_.emplace(cluster_->shard_dbs(), &cluster_->network(), &pinned_map_,
                   options_.portal_shard, options_.cache_bytes,
                   &cluster_->env().obs());
@@ -57,15 +53,11 @@ Result<pql::QueryResult> PortalSession::Run(std::string_view query,
 
 void PortalSession::RePin() {
   uint64_t old_epoch = pinned_epoch_;
-  // Copy-assignment carries the extended epoch history, so the source's
-  // cache validation sees exactly the ranges reassigned since its last
-  // probe and keeps everything else warm across the re-pin.
+  // The source keeps routing through pinned_map_, so its cache sees the new
+  // owners on the next probe and keeps every entry whose owner is unchanged.
   pinned_map_ = cluster_->shard_map();
   pinned_epoch_ = pinned_map_.epoch();
   cluster_->PinEpoch(pinned_epoch_);
-  for (int s = 0; s < cluster_->shard_count(); ++s) {
-    horizons_[s] = cluster_->journal(s).records_appended();
-  }
   // Unpin last: the new pin is already in place, so the coordinator never
   // sees this session unpinned (no retirement window races past it).
   cluster_->UnpinEpoch(old_epoch);

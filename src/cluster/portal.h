@@ -8,24 +8,23 @@
 // concurrent PortalSessions over one ClusterCoordinator, each with its own
 // result cache carved out of a shared byte budget.
 //
-//   * Epoch-pinned sessions. A session captures a ShardMap snapshot and the
-//     per-shard journal horizons (records appended) when it opens, pins
-//     that epoch at the coordinator, and answers every query through the
-//     snapshot — so a migration or rebalance mid-session never changes
-//     where the session routes. The coordinator keeps the source shard of
-//     a migrated range answering for pinned sessions by deferring the
-//     source-side delete until the last pre-bump pin releases (see
+//   * Epoch-pinned sessions. A session captures a ShardMap snapshot when it
+//     opens, pins that epoch at the coordinator, and answers every query
+//     through the snapshot — so a migration or rebalance mid-session never
+//     changes where the session routes. The coordinator keeps the source
+//     shard of a migrated range answering for pinned sessions by deferring
+//     the source-side delete until the last pre-bump pin releases (see
 //     ClusterCoordinator::PinEpoch), so a pinned session's answers still
 //     equal the merged database. RePin() re-captures the live map, releases
 //     the old pin, and lets deferred retirements run. Pinning freezes
 //     routing, not time: for ranges whose owner is unchanged since the
-//     pin, new data still reaches the session (its cache revalidates
-//     per-range fingerprints against the live shard databases like any
-//     portal). Ingest into a range migrated *after* the pin, however,
-//     lands on the new owner while the session keeps reading the deferred
-//     source copy — so session == merged database holds only absent ingest
-//     into ranges migrated while the pin is held; RePin() catches the
-//     session up.
+//     pin, new data still reaches the session (its cache checks each
+//     entry's owner and per-range fingerprint against the live shard
+//     databases like any portal). Ingest into a range migrated *after* the
+//     pin, however, lands on the new owner while the session keeps reading
+//     the deferred source copy — so session == merged database holds only
+//     absent ingest into ranges migrated while the pin is held; RePin()
+//     catches the session up.
 //
 //   * Per-tenant budgets + admission control. The tier has a total cache
 //     byte budget; each tenant can be capped by a quota. Opening a session
@@ -89,19 +88,17 @@ class PortalSession {
   Result<pql::QueryResult> Run(std::string_view query,
                                const pql::QueryOptions& options = {});
 
-  // Re-capture the live ShardMap + journal horizons and move the epoch pin
-  // forward, releasing any migration retirements the old pin blocked. The
-  // cache survives: entries in ranges the epoch history reassigned are
-  // dropped by the source's own validation, the rest stay warm.
+  // Re-capture the live ShardMap and move the epoch pin forward, releasing
+  // any migration retirements the old pin blocked. The cache survives: the
+  // source checks each entry against its owner under the new snapshot when
+  // it is next probed, so only entries whose pnode changed owner (or whose
+  // range's fingerprint moved) drop; the rest stay warm.
   void RePin();
 
   uint64_t id() const { return id_; }
   const std::string& tenant() const { return options_.tenant; }
   size_t cache_bytes() const { return options_.cache_bytes; }
   uint64_t pinned_epoch() const { return pinned_epoch_; }
-  // ClusterJournal::records_appended() per shard at the last (re-)pin: the
-  // durable horizon this session's snapshot corresponds to.
-  const std::vector<uint64_t>& journal_horizons() const { return horizons_; }
   FederatedSource& source() { return *source_; }
   const FederatedSource& source() const { return *source_; }
 
@@ -110,7 +107,6 @@ class PortalSession {
   uint64_t id_;
   PortalSessionOptions options_;
   ShardMap pinned_map_;  // snapshot; source_ routes through this
-  std::vector<uint64_t> horizons_;
   uint64_t pinned_epoch_ = 0;
   std::optional<FederatedSource> source_;  // built after pinned_map_
 };

@@ -116,19 +116,7 @@ Status ShardMap::Assign(core::PnodeRange range, int to_shard) {
     }
   }
   ++epoch_;
-  history_.push_back(EpochChange{epoch_, range, to_shard});
   return Status::Ok();
-}
-
-std::vector<core::PnodeRange> ShardMap::ChangesSince(uint64_t since) const {
-  std::vector<core::PnodeRange> out;
-  // History is epoch-ordered with epoch i at index i-1, so the tail after
-  // `since` starts at index `since` — no search needed.
-  for (size_t i = since < history_.size() ? since : history_.size();
-       i < history_.size(); ++i) {
-    out.push_back(history_[i].range);
-  }
-  return out;
 }
 
 std::vector<std::pair<core::PnodeRange, int>> ShardMap::Overrides() const {

@@ -12,8 +12,8 @@
 // Every ownership decision in the cluster layer — replication routing in
 // IngestQueue, query routing in FederatedSource, merge dedup in
 // ClusterCoordinator — resolves through OwnerOf() here; nothing else
-// decodes the shard bits. The epoch counter bumps on every reassignment so
-// long-lived clients can detect that routing changed under them.
+// decodes the shard bits. The epoch counter bumps on every reassignment;
+// portal sessions pin it, and recovery checks its journal replay against it.
 
 #include <cstdint>
 #include <map>
@@ -25,27 +25,16 @@
 
 namespace pass::cluster {
 
-// One successful Assign: at `epoch`, ownership of `range` moved to
-// `to_shard`. The map keeps the full sequence so long-lived routing clients
-// (the portal result cache) can ask exactly which ranges changed since the
-// epoch they last validated at, instead of treating every bump as a
-// whole-space change.
-struct EpochChange {
-  uint64_t epoch = 0;
-  core::PnodeRange range;
-  int to_shard = -1;
-};
-
 class ShardMap {
  public:
   explicit ShardMap(int shards) : shards_(shards) {}
 
   int shard_count() const { return shards_; }
 
-  // Bumped on every successful Assign. Long-lived routing clients key their
-  // validity off this: the FederatedSource portal cache fingerprints the
-  // epoch and drops every cached result when it moves, so MigrateRange /
-  // Rebalance can never leave stale ownership in a query path.
+  // Bumped on every successful Assign and restarted by Reset. Portal
+  // sessions pin it (ClusterCoordinator::PinEpoch), and recovery checks its
+  // journal replay against it. Cached query results do not key off it: the
+  // portal cache checks each entry's owner through OwnerOf() on lookup.
   uint64_t epoch() const { return epoch_; }
 
   // Shard owning `pnode`: an override range if one covers it, the allocator
@@ -65,22 +54,12 @@ class ShardMap {
   // a single home shard's space, and name a member shard.
   Status Assign(core::PnodeRange range, int to_shard);
 
-  // The Assign history in epoch order (entry i has epoch i+1). Unbounded
-  // but tiny: one record per migration over the map's lifetime.
-  const std::vector<EpochChange>& history() const { return history_; }
-
-  // Every range reassigned by an Assign with epoch > `since`, in epoch
-  // order. A cache validated at epoch `since` is stale exactly for entries
-  // whose pnode lies in one of these ranges.
-  std::vector<core::PnodeRange> ChangesSince(uint64_t since) const;
-
   // Forget every override and restart the epoch at zero. Cluster recovery
   // rebuilds the map of a restarted coordinator by replaying the journaled
   // EPOCH_BUMP history in epoch order (each replayed Assign re-bumps the
   // epoch, so the rebuilt map lands on the journaled epoch exactly).
   void Reset() {
     overrides_.clear();
-    history_.clear();
     epoch_ = 0;
   }
 
@@ -94,7 +73,6 @@ class ShardMap {
  private:
   int shards_;
   uint64_t epoch_ = 0;
-  std::vector<EpochChange> history_;  // one entry per Assign, epoch order
   // begin -> (end, shard). Invariants: non-overlapping, each range within
   // one home space, shard != home (assigning back home erases the entry).
   std::map<core::PnodeId, std::pair<core::PnodeId, int>> overrides_;

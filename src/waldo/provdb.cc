@@ -26,7 +26,6 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
   const core::ObjectRef& subject = entry.subject;
   const core::Record& record = entry.record;
 
-  ++mutation_count_;
   if (record.attr == core::Attr::kInput) {
     if (const auto* ancestor = std::get_if<core::ObjectRef>(&record.value)) {
       WriteEdge(subject, *ancestor, /*forward=*/true, /*reverse=*/true);
@@ -240,7 +239,6 @@ bool ProvDb::InsertUnique(const lasagna::LogEntry& entry) {
     if (!forward && !reverse) {
       return false;
     }
-    ++mutation_count_;
     WriteEdge(subject, *ancestor, forward, reverse);
     return true;
   }
@@ -374,7 +372,6 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
   prune(by_name_, 'n', touched_names);
   prune(by_type_, 't', touched_types);
   if (removed > 0) {
-    ++mutation_count_;
     for (uint64_t bucket : touched_buckets) {
       ++range_mutations_[bucket];
     }

@@ -107,21 +107,15 @@ class ProvDb {
   uint64_t RecordCount() const { return record_count_; }
   uint64_t EdgeCount() const { return edge_count_; }
 
-  // Monotone counter bumped by every mutating call that changed the database
-  // (Insert, an inserting InsertUnique, a removing DeleteRange). A cache over
-  // the query surface that watches only this must drop everything when it
-  // moves; the whole-cache-flush bench baseline (bench/harness.h) does.
-  uint64_t mutation_count() const { return mutation_count_; }
-
   // ---- Per-range mutation fingerprints -------------------------------------
-  // The whole-database mutation_count() makes any ingest look like it could
-  // have changed any cached row. These counters refine it: the pnode space is
-  // carved into power-of-two buckets of 2^kRangeBucketBits pnodes, and every
-  // mutation bumps the bucket of each pnode that *keys* a touched row (the
-  // subject of an attribute record or forward edge, the ancestor of a reverse
-  // row). A cached per-node result is stale iff the bucket of its keying
-  // pnode moved, so the federated portal invalidates exactly the entries
-  // whose range actually changed.
+  // The pnode space is carved into power-of-two buckets of
+  // 2^kRangeBucketBits pnodes, and every call that writes or removes rows
+  // (Insert, an inserting InsertUnique, a removing DeleteRange) bumps the
+  // bucket of each pnode that *keys* a touched row (the subject of an
+  // attribute record or forward edge, the ancestor of a reverse row). A
+  // per-node result cached from this database is stale iff the bucket of its
+  // keying pnode moved, so the federated portal invalidates exactly the
+  // entries whose range actually changed, and ingest elsewhere costs none.
   static constexpr int kRangeBucketBits = 6;  // 64 pnodes per bucket
 
   static constexpr uint64_t RangeBucketOf(core::PnodeId pnode) {
@@ -207,7 +201,6 @@ class ProvDb {
   std::map<core::PnodeId, std::string> names_;
   uint64_t record_count_ = 0;
   uint64_t edge_count_ = 0;
-  uint64_t mutation_count_ = 0;
   // bucket id (pnode >> kRangeBucketBits) -> mutations touching rows keyed
   // by a pnode in that bucket.
   std::map<uint64_t, uint64_t> range_mutations_;

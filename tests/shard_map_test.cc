@@ -124,48 +124,16 @@ TEST(ShardMapTest, AssignmentsPartitionEveryHomeSpace) {
   EXPECT_EQ(assignments[3].second, 1);
 }
 
-// The epoch history: every successful Assign is remembered, and
-// ChangesSince(e) returns exactly the ranges reassigned after epoch e — the
-// contract the portal cache's incremental revalidation is built on.
-TEST(ShardMapTest, HistoryRecordsEveryAssign) {
-  ShardMap map(4);
-  core::PnodeRange first{At(0, 10), At(0, 20)};
-  core::PnodeRange second{At(1, 5), At(1, 6)};
-  ASSERT_TRUE(map.Assign(first, 2).ok());
-  ASSERT_TRUE(map.Assign(second, 3).ok());
-  ASSERT_EQ(map.history().size(), 2u);
-  EXPECT_EQ(map.history()[0].epoch, 1u);
-  EXPECT_EQ(map.history()[0].range, first);
-  EXPECT_EQ(map.history()[0].to_shard, 2);
-  EXPECT_EQ(map.history()[1].epoch, 2u);
-  EXPECT_EQ(map.history()[1].range, second);
-  EXPECT_EQ(map.history()[1].to_shard, 3);
-}
-
-TEST(ShardMapTest, ChangesSinceReturnsOnlyNewerEpochs) {
-  ShardMap map(4);
-  core::PnodeRange first{At(0, 10), At(0, 20)};
-  core::PnodeRange second{At(1, 5), At(1, 6)};
-  ASSERT_TRUE(map.Assign(first, 2).ok());
-  ASSERT_TRUE(map.Assign(second, 3).ok());
-  auto all = map.ChangesSince(0);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0], first);
-  EXPECT_EQ(all[1], second);
-  auto tail = map.ChangesSince(1);
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0], second);
-  EXPECT_TRUE(map.ChangesSince(2).empty());
-  EXPECT_TRUE(map.ChangesSince(99).empty());
-}
-
-TEST(ShardMapTest, ResetClearsHistory) {
+// Reset is what recovery starts its journal replay from: a map with no
+// overrides, at epoch zero, routing every pnode to its allocator home.
+TEST(ShardMapTest, ResetRestoresHomeRoutingAtEpochZero) {
   ShardMap map(4);
   ASSERT_TRUE(map.Assign({At(0, 10), At(0, 20)}, 2).ok());
-  ASSERT_FALSE(map.history().empty());
+  ASSERT_EQ(map.OwnerOf(At(0, 15)), 2);
   map.Reset();
-  EXPECT_TRUE(map.history().empty());
-  EXPECT_TRUE(map.ChangesSince(0).empty());
+  EXPECT_EQ(map.epoch(), 0u);
+  EXPECT_TRUE(map.Overrides().empty());
+  EXPECT_EQ(map.OwnerOf(At(0, 15)), 0);
 }
 
 }  // namespace

@@ -246,34 +246,6 @@ TEST(ProvDbTest, BulkLookupsAlignWithSingleLookups) {
   EXPECT_TRUE(records[2].empty());
 }
 
-TEST(ProvDbTest, MutationCountAdvancesOnlyOnChange) {
-  ProvDb db;
-  uint64_t before = db.mutation_count();
-  db.Insert(Entry({1, 0}, core::Record::Name("/a")));
-  db.Insert(Entry({1, 0}, core::Record::Input({2, 0})));
-  uint64_t after_insert = db.mutation_count();
-  EXPECT_GT(after_insert, before);
-
-  // Reads leave it alone.
-  db.Inputs({1, 0});
-  db.RecordsOfAllVersions(1);
-  EXPECT_EQ(db.mutation_count(), after_insert);
-
-  // A fully duplicate InsertUnique is a no-op; a fresh one counts.
-  EXPECT_FALSE(db.InsertUnique(Entry({1, 0}, core::Record::Input({2, 0}))));
-  EXPECT_EQ(db.mutation_count(), after_insert);
-  EXPECT_TRUE(db.InsertUnique(Entry({1, 0}, core::Record::Input({3, 0}))));
-  EXPECT_GT(db.mutation_count(), after_insert);
-
-  // A removing DeleteRange counts; an empty one does not.
-  uint64_t after_unique = db.mutation_count();
-  EXPECT_GT(db.DeleteRange(1, 2), 0u);
-  uint64_t after_delete = db.mutation_count();
-  EXPECT_GT(after_delete, after_unique);
-  EXPECT_EQ(db.DeleteRange(50, 60), 0u);
-  EXPECT_EQ(db.mutation_count(), after_delete);
-}
-
 TEST(ProvDbTest, StatsTrackStores) {
   ProvDb db;
   db.Insert(Entry({1, 0}, core::Record::Name("/out")));
