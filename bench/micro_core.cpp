@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark): analyzer throughput, record codec,
-// MD5, log framing, KV store, and PQL query latency.
+// the byte kernels (MD5, CRC32, the workload name generator), log framing,
+// KV store, and PQL query latency.
 
 #include <benchmark/benchmark.h>
 
@@ -7,6 +8,7 @@
 #include "src/lasagna/log_format.h"
 #include "src/pql/eval.h"
 #include "src/pql/provdb_source.h"
+#include "src/util/crc32.h"
 #include "src/util/md5.h"
 #include "src/util/rng.h"
 #include "src/waldo/kvstore.h"
@@ -41,14 +43,46 @@ void BM_RecordEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordEncodeDecode);
 
+// `n` bytes drawn from a seeded Rng: run-time data the compiler cannot fold.
+std::string RandomBytes(size_t n) {
+  Rng rng(3);
+  std::string out(n, '\0');
+  for (char& ch : out) {
+    ch = static_cast<char>(rng.Next());
+  }
+  return out;
+}
+
 void BM_Md5Throughput(benchmark::State& state) {
-  std::string data(static_cast<size_t>(state.range(0)), 'x');
+  std::string data = RandomBytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Md5::Hash(data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Md5Throughput)->Arg(4096)->Arg(65536);
+
+void BM_Crc32Throughput(benchmark::State& state) {
+  std::string data = RandomBytes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Throughput)->Arg(4096)->Arg(65536);
+
+// The workload drivers' byte generator: one name character per draw.
+void BM_NameFill(benchmark::State& state) {
+  Rng rng(4);
+  std::string buffer(static_cast<size_t>(state.range(0)), '\0');
+  for (auto _ : state) {
+    rng.FillName(buffer.data(), buffer.size());
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_NameFill)->Arg(65536);
 
 void BM_LogFraming(benchmark::State& state) {
   lasagna::LogEntry entry{core::ObjectRef{7, 1},

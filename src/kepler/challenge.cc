@@ -35,23 +35,17 @@ Status SeedChallengeInputs(os::Kernel* kernel, os::Pid pid,
   Rng rng(seed);
   PASS_RETURN_IF_ERROR(kernel->Mkdir(pid, paths.input_dir));
   PASS_RETURN_IF_ERROR(kernel->Mkdir(pid, paths.output_dir));
+  // Images are whole 64-character names: `image_bytes` rounded up.
+  size_t image_size = (image_bytes + 63) / 64 * 64;
   for (int i = 0; i < 4; ++i) {
-    std::string image;
-    image.reserve(image_bytes);
-    while (image.size() < image_bytes) {
-      image += rng.NextName(64);
-    }
-    PASS_RETURN_IF_ERROR(kernel->WriteFile(pid, paths.Anatomy(i), image));
+    PASS_RETURN_IF_ERROR(kernel->WriteFile(pid, paths.Anatomy(i),
+                                           rng.NextName(image_size)));
     PASS_RETURN_IF_ERROR(kernel->WriteFile(
         pid, paths.AnatomyHeader(i),
         StrFormat("dims=256x256x128 subject=%d seed=%llu", i,
                   static_cast<unsigned long long>(seed))));
   }
-  std::string reference;
-  while (reference.size() < image_bytes) {
-    reference += rng.NextName(64);
-  }
-  return kernel->WriteFile(pid, paths.Reference(), reference);
+  return kernel->WriteFile(pid, paths.Reference(), rng.NextName(image_size));
 }
 
 std::vector<FileSinkOp*> BuildChallengeWorkflow(KeplerEngine* engine,

@@ -21,8 +21,14 @@ struct PendingWrite {
   std::vector<LogEntry> entries;
 };
 
+// a.offset < b.offset + b.length, without forming the sum: a descriptor
+// from the log can carry any offset and length, and the sum can wrap.
+bool StartsBeforeEnd(const TxnDescriptor& a, const TxnDescriptor& b) {
+  return a.offset < b.offset || a.offset - b.offset < b.length;
+}
+
 bool Overlaps(const TxnDescriptor& a, const TxnDescriptor& b) {
-  return a.offset < b.offset + b.length && b.offset < a.offset + a.length;
+  return StartsBeforeEnd(a, b) && StartsBeforeEnd(b, a);
 }
 
 // Numeric sort for log.N names.
@@ -76,15 +82,22 @@ Result<RecoveryReport> RunRecovery(fs::MemFs* lower,
     for (LogEntry& entry : entries) {
       ++report.records_scanned;
       if (entry.record.attr == core::Attr::kBeginTxn) {
-        uint64_t txn_id = static_cast<uint64_t>(
-            std::get<int64_t>(entry.record.value));
-        open_txns[txn_id].entries.push_back(std::move(entry));
+        const int64_t* txn_id = std::get_if<int64_t>(&entry.record.value);
+        if (txn_id == nullptr) {
+          return Corrupt(path + ": BEGINTXN without a transaction id");
+        }
+        open_txns[static_cast<uint64_t>(*txn_id)].entries.push_back(
+            std::move(entry));
         continue;
       }
       if (entry.record.attr == core::Attr::kEndTxn) {
-        const auto& blob = std::get<std::string>(entry.record.value);
+        const std::string* blob =
+            std::get_if<std::string>(&entry.record.value);
+        if (blob == nullptr) {
+          return Corrupt(path + ": ENDTXN without a descriptor");
+        }
         PASS_ASSIGN_OR_RETURN(TxnDescriptor descriptor,
-                              DecodeTxnDescriptor(blob));
+                              DecodeTxnDescriptor(*blob));
         auto it = open_txns.find(descriptor.txn_id);
         if (it == open_txns.end()) {
           // END without BEGIN: treat as orphaned.
@@ -144,8 +157,10 @@ Result<RecoveryReport> RunRecovery(fs::MemFs* lower,
     for (PendingWrite& write : pending) {
       const TxnDescriptor& descriptor = write.descriptor;
       bool consistent = false;
-      if (data.ok() &&
-          data->size() >= descriptor.offset + descriptor.length) {
+      // The extent must end inside the file; written without
+      // `offset + length`, which can wrap.
+      if (data.ok() && descriptor.offset <= data->size() &&
+          descriptor.length <= data->size() - descriptor.offset) {
         std::string_view extent(*data);
         extent = extent.substr(descriptor.offset, descriptor.length);
         consistent = Md5::Hash(extent) == descriptor.data_md5;

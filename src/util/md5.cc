@@ -1,5 +1,6 @@
 #include "src/util/md5.h"
 
+#include <bit>
 #include <cstring>
 
 namespace pass {
@@ -8,29 +9,25 @@ namespace {
 constexpr uint32_t kInit[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
                                0x10325476u};
 
-// Per-round shift amounts (RFC 1321).
-constexpr uint8_t kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+// RFC 1321's four auxiliary functions, in the forms that need one operation
+// fewer: F = (x & y) | (~x & z) and G = (x & z) | (y & ~z).
+constexpr uint32_t F(uint32_t x, uint32_t y, uint32_t z) {
+  return z ^ (x & (y ^ z));
+}
+constexpr uint32_t G(uint32_t x, uint32_t y, uint32_t z) {
+  return y ^ (z & (x ^ y));
+}
+constexpr uint32_t H(uint32_t x, uint32_t y, uint32_t z) { return x ^ y ^ z; }
+constexpr uint32_t I(uint32_t x, uint32_t y, uint32_t z) {
+  return y ^ (x | ~z);
+}
 
-// K[i] = floor(2^32 * abs(sin(i+1))).
-constexpr uint32_t kSine[64] = {
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
-    0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
-    0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
-    0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
-    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
-    0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
-    0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
-    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
-    0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
-    0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
-
-uint32_t RotateLeft(uint32_t x, uint32_t n) {
-  return (x << n) | (x >> (32 - n));
+// One step: a = b + ((a + fn(b, c, d) + x + t) <<< s). The message word,
+// the sine constant t and the rotate count s are fixed at each call site.
+template <uint32_t (*Fn)(uint32_t, uint32_t, uint32_t), int S>
+inline void Step(uint32_t& a, uint32_t b, uint32_t c, uint32_t d, uint32_t x,
+                 uint32_t t) {
+  a = b + std::rotl(a + Fn(b, c, d) + x + t, S);
 }
 
 }  // namespace
@@ -53,28 +50,77 @@ void Md5::ProcessBlock(const uint8_t* block) {
   uint32_t c = state_[2];
   uint32_t d = state_[3];
 
-  for (int i = 0; i < 64; ++i) {
-    uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + RotateLeft(a + f + kSine[i] + m[g], kShift[i]);
-    a = tmp;
-  }
+  // Round 1: message words in order.
+  Step<F, 7>(a, b, c, d, m[0], 0xd76aa478);
+  Step<F, 12>(d, a, b, c, m[1], 0xe8c7b756);
+  Step<F, 17>(c, d, a, b, m[2], 0x242070db);
+  Step<F, 22>(b, c, d, a, m[3], 0xc1bdceee);
+  Step<F, 7>(a, b, c, d, m[4], 0xf57c0faf);
+  Step<F, 12>(d, a, b, c, m[5], 0x4787c62a);
+  Step<F, 17>(c, d, a, b, m[6], 0xa8304613);
+  Step<F, 22>(b, c, d, a, m[7], 0xfd469501);
+  Step<F, 7>(a, b, c, d, m[8], 0x698098d8);
+  Step<F, 12>(d, a, b, c, m[9], 0x8b44f7af);
+  Step<F, 17>(c, d, a, b, m[10], 0xffff5bb1);
+  Step<F, 22>(b, c, d, a, m[11], 0x895cd7be);
+  Step<F, 7>(a, b, c, d, m[12], 0x6b901122);
+  Step<F, 12>(d, a, b, c, m[13], 0xfd987193);
+  Step<F, 17>(c, d, a, b, m[14], 0xa679438e);
+  Step<F, 22>(b, c, d, a, m[15], 0x49b40821);
+
+  // Round 2: word (5i + 1) mod 16.
+  Step<G, 5>(a, b, c, d, m[1], 0xf61e2562);
+  Step<G, 9>(d, a, b, c, m[6], 0xc040b340);
+  Step<G, 14>(c, d, a, b, m[11], 0x265e5a51);
+  Step<G, 20>(b, c, d, a, m[0], 0xe9b6c7aa);
+  Step<G, 5>(a, b, c, d, m[5], 0xd62f105d);
+  Step<G, 9>(d, a, b, c, m[10], 0x02441453);
+  Step<G, 14>(c, d, a, b, m[15], 0xd8a1e681);
+  Step<G, 20>(b, c, d, a, m[4], 0xe7d3fbc8);
+  Step<G, 5>(a, b, c, d, m[9], 0x21e1cde6);
+  Step<G, 9>(d, a, b, c, m[14], 0xc33707d6);
+  Step<G, 14>(c, d, a, b, m[3], 0xf4d50d87);
+  Step<G, 20>(b, c, d, a, m[8], 0x455a14ed);
+  Step<G, 5>(a, b, c, d, m[13], 0xa9e3e905);
+  Step<G, 9>(d, a, b, c, m[2], 0xfcefa3f8);
+  Step<G, 14>(c, d, a, b, m[7], 0x676f02d9);
+  Step<G, 20>(b, c, d, a, m[12], 0x8d2a4c8a);
+
+  // Round 3: word (3i + 5) mod 16.
+  Step<H, 4>(a, b, c, d, m[5], 0xfffa3942);
+  Step<H, 11>(d, a, b, c, m[8], 0x8771f681);
+  Step<H, 16>(c, d, a, b, m[11], 0x6d9d6122);
+  Step<H, 23>(b, c, d, a, m[14], 0xfde5380c);
+  Step<H, 4>(a, b, c, d, m[1], 0xa4beea44);
+  Step<H, 11>(d, a, b, c, m[4], 0x4bdecfa9);
+  Step<H, 16>(c, d, a, b, m[7], 0xf6bb4b60);
+  Step<H, 23>(b, c, d, a, m[10], 0xbebfbc70);
+  Step<H, 4>(a, b, c, d, m[13], 0x289b7ec6);
+  Step<H, 11>(d, a, b, c, m[0], 0xeaa127fa);
+  Step<H, 16>(c, d, a, b, m[3], 0xd4ef3085);
+  Step<H, 23>(b, c, d, a, m[6], 0x04881d05);
+  Step<H, 4>(a, b, c, d, m[9], 0xd9d4d039);
+  Step<H, 11>(d, a, b, c, m[12], 0xe6db99e5);
+  Step<H, 16>(c, d, a, b, m[15], 0x1fa27cf8);
+  Step<H, 23>(b, c, d, a, m[2], 0xc4ac5665);
+
+  // Round 4: word 7i mod 16.
+  Step<I, 6>(a, b, c, d, m[0], 0xf4292244);
+  Step<I, 10>(d, a, b, c, m[7], 0x432aff97);
+  Step<I, 15>(c, d, a, b, m[14], 0xab9423a7);
+  Step<I, 21>(b, c, d, a, m[5], 0xfc93a039);
+  Step<I, 6>(a, b, c, d, m[12], 0x655b59c3);
+  Step<I, 10>(d, a, b, c, m[3], 0x8f0ccc92);
+  Step<I, 15>(c, d, a, b, m[10], 0xffeff47d);
+  Step<I, 21>(b, c, d, a, m[1], 0x85845dd1);
+  Step<I, 6>(a, b, c, d, m[8], 0x6fa87e4f);
+  Step<I, 10>(d, a, b, c, m[15], 0xfe2ce6e0);
+  Step<I, 15>(c, d, a, b, m[6], 0xa3014314);
+  Step<I, 21>(b, c, d, a, m[13], 0x4e0811a1);
+  Step<I, 6>(a, b, c, d, m[4], 0xf7537e82);
+  Step<I, 10>(d, a, b, c, m[11], 0xbd3af235);
+  Step<I, 15>(c, d, a, b, m[2], 0x2ad7d2bb);
+  Step<I, 21>(b, c, d, a, m[9], 0xeb86d391);
 
   state_[0] += a;
   state_[1] += b;

@@ -1,5 +1,7 @@
 #include "src/util/rng.h"
 
+#include <algorithm>
+
 namespace pass {
 namespace {
 
@@ -13,6 +15,19 @@ uint64_t SplitMix(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+// One xoshiro256** step over `s`, returning the output word.
+inline uint64_t Step(uint64_t* s) {
+  uint64_t result = RotL(s[1] * 5, 7) * 9;
+  uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = RotL(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
@@ -22,17 +37,7 @@ void Rng::Seed(uint64_t seed) {
   }
 }
 
-uint64_t Rng::Next() {
-  uint64_t result = RotL(state_[1] * 5, 7) * 9;
-  uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
+uint64_t Rng::Next() { return Step(state_); }
 
 uint64_t Rng::NextBelow(uint64_t bound) {
   if (bound == 0) {
@@ -58,13 +63,25 @@ double Rng::NextDouble() {
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
 
-std::string Rng::NextName(size_t n) {
-  static const char kAlphabet[] = "abcdefghijklmnopqrstuvwxyz0123456789";
-  std::string out;
-  out.reserve(n);
+void Rng::FillName(char* out, size_t n) {
+  static constexpr char kAlphabet[] = "abcdefghijklmnopqrstuvwxyz0123456789";
+  // NextBelow(36) per character: the same draws, rejection threshold and
+  // final state, with the state held in locals across the loop.
+  constexpr uint64_t kThreshold = (0 - uint64_t{36}) % 36;
+  uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
   for (size_t i = 0; i < n; ++i) {
-    out.push_back(kAlphabet[NextBelow(36)]);
+    uint64_t r = Step(s);
+    while (r < kThreshold) {
+      r = Step(s);
+    }
+    out[i] = kAlphabet[r % 36];
   }
+  std::copy(s, s + 4, state_);
+}
+
+std::string Rng::NextName(size_t n) {
+  std::string out(n, '\0');
+  FillName(out.data(), n);
   return out;
 }
 

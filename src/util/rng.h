@@ -6,6 +6,7 @@
 // property-test inputs — flows through a seeded Rng so that every test and
 // benchmark run is bit-reproducible.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -34,6 +35,9 @@ class Rng {
 
   // Random lowercase-alphanumeric string of length n (workload file names).
   std::string NextName(size_t n);
+
+  // Writes NextName(n)'s characters to out[0, n), consuming the same draws.
+  void FillName(char* out, size_t n);
 
  private:
   uint64_t state_[4];

@@ -35,19 +35,27 @@ Status Waldo::ProcessLog(lasagna::LasagnaFs* volume, const std::string& path) {
   // Ingest only complete transactions; a BEGINTXN without its ENDTXN is
   // orphaned provenance (e.g. a crashed NFS client) and is discarded.
   std::map<uint64_t, std::vector<lasagna::LogEntry>> open;
-  uint64_t current_txn = 0;
-  bool in_txn = false;
+  // Records after a BEGINTXN that carries no transaction id: no ENDTXN can
+  // name that transaction, so they are orphans as well.
+  std::vector<lasagna::LogEntry> unnamed;
+  uint64_t unnamed_begins = 0;
+  std::vector<lasagna::LogEntry>* current = nullptr;  // the open txn's records
   for (lasagna::LogEntry& entry : entries) {
     if (entry.record.attr == core::Attr::kBeginTxn) {
-      current_txn = static_cast<uint64_t>(
-          std::get<int64_t>(entry.record.value));
-      open[current_txn] = {};
-      in_txn = true;
+      if (const int64_t* txn = std::get_if<int64_t>(&entry.record.value)) {
+        current = &(open[static_cast<uint64_t>(*txn)] = {});
+      } else {
+        current = &unnamed;
+        ++unnamed_begins;
+      }
       continue;
     }
     if (entry.record.attr == core::Attr::kEndTxn) {
-      auto blob = std::get<std::string>(entry.record.value);
-      auto descriptor = lasagna::DecodeTxnDescriptor(blob);
+      const std::string* blob = std::get_if<std::string>(&entry.record.value);
+      if (blob == nullptr) {
+        continue;
+      }
+      auto descriptor = lasagna::DecodeTxnDescriptor(*blob);
       if (!descriptor.ok()) {
         continue;
       }
@@ -60,11 +68,11 @@ Status Waldo::ProcessLog(lasagna::LasagnaFs* volume, const std::string& path) {
         ++waldo_stats_.entries_ingested;
       }
       open.erase(it);
-      in_txn = false;
+      current = nullptr;
       continue;
     }
-    if (in_txn) {
-      open[current_txn].push_back(std::move(entry));
+    if (current != nullptr) {
+      current->push_back(std::move(entry));
     } else {
       // Record outside any transaction: ingest directly (legacy form).
       db_->Insert(entry);
@@ -74,6 +82,7 @@ Status Waldo::ProcessLog(lasagna::LasagnaFs* volume, const std::string& path) {
   for (auto& [txn, orphaned] : open) {
     waldo_stats_.orphans_discarded += orphaned.size() + 1;
   }
+  waldo_stats_.orphans_discarded += unnamed.size() + unnamed_begins;
   ++waldo_stats_.logs_processed;
   return Status::Ok();
 }

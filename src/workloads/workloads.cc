@@ -13,12 +13,11 @@ uint64_t LiveBytes(Machine* machine) {
   return machine->rootfs()->stats().bytes_data;
 }
 
+// `bytes` name characters. The generator draws whole 64-character names and
+// so also advances past the truncated tail: every later byte depends on it.
 std::string Blob(Rng* rng, size_t bytes) {
-  std::string out;
-  out.reserve(bytes);
-  while (out.size() < bytes) {
-    out += rng->NextName(64);
-  }
+  std::string out((bytes + 63) / 64 * 64, '\0');
+  rng->FillName(out.data(), out.size());
   out.resize(bytes);
   return out;
 }

@@ -378,5 +378,82 @@ TEST_F(LasagnaTest, DisjointExtentsOfOnePathVerifyIndependently) {
   EXPECT_TRUE(report->inconsistent_paths.empty());
 }
 
+// ---- Malformed logs ------------------------------------------------------------
+// A frame carries only a CRC, which anyone who rewrites the log can
+// recompute (the auditor's kFlipByteFixCrc tamper), so every frame below
+// is CRC-valid and recovery sees exactly the values written.
+
+// One hand-built transaction on pnode 5: BEGINTXN carrying `begin`, a NAME
+// record, ENDTXN carrying `end`.
+void AppendTxn(std::string* log, core::Value begin, core::Value end) {
+  core::ObjectRef subject{5, 0};
+  EncodeLogEntry(log, LogEntry{subject, core::Record::Of(core::Attr::kBeginTxn,
+                                                         std::move(begin))});
+  EncodeLogEntry(log, LogEntry{subject, core::Record::Name("/f")});
+  EncodeLogEntry(log, LogEntry{subject, core::Record::Of(core::Attr::kEndTxn,
+                                                         std::move(end))});
+}
+
+std::string Descriptor(uint64_t txn_id, uint64_t offset, uint64_t length) {
+  TxnDescriptor descriptor;
+  descriptor.txn_id = txn_id;
+  descriptor.data_md5 = Md5::Hash("lost");
+  descriptor.path = "/f";
+  descriptor.offset = offset;
+  descriptor.length = length;
+  return EncodeTxnDescriptor(descriptor);
+}
+
+TEST_F(LasagnaTest, RecoveryRejectsBeginTxnWithoutTxnId) {
+  std::string log;
+  AppendTxn(&log, std::string("not an id"), Descriptor(1, 0, 4));
+  ASSERT_TRUE(lower_.SeedFile("/.pass/log.0", log).ok());
+  auto report = RunRecovery(&lower_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), Code::kCorrupt);
+}
+
+TEST_F(LasagnaTest, RecoveryRejectsEndTxnWithoutDescriptor) {
+  std::string log;
+  AppendTxn(&log, int64_t{1}, int64_t{1});
+  ASSERT_TRUE(lower_.SeedFile("/.pass/log.0", log).ok());
+  auto report = RunRecovery(&lower_);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), Code::kCorrupt);
+}
+
+TEST_F(LasagnaTest, WrappingExtentIsInconsistent) {
+  // offset + length wraps to 4, inside the 10-byte file; the extent really
+  // ends past it.
+  std::string log;
+  AppendTxn(&log, int64_t{1}, Descriptor(1, ~uint64_t{0} - 5, 10));
+  ASSERT_TRUE(lower_.SeedFile("/.pass/log.0", log).ok());
+  ASSERT_TRUE(lower_.SeedFile("/f", "0123456789").ok());
+  auto report = RunRecovery(&lower_);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->complete_txns, 1u);
+  EXPECT_EQ(report->inconsistent_extents, 1u);
+  EXPECT_EQ(report->consistent_extents, 0u);
+  ASSERT_EQ(report->inconsistent_paths.size(), 1u);
+  EXPECT_EQ(report->inconsistent_paths[0], "/f");
+}
+
+TEST_F(LasagnaTest, WrappingExtentStillSupersedesWhatItCovers) {
+  // The second extent, [2, 2 + (2^64 - 1)), covers the first, [5, 6), but
+  // its end wraps to 1. It supersedes the first write, which counts as
+  // consistent; it cannot be verified itself.
+  std::string log;
+  AppendTxn(&log, int64_t{1}, Descriptor(1, 5, 1));
+  AppendTxn(&log, int64_t{2}, Descriptor(2, 2, ~uint64_t{0}));
+  ASSERT_TRUE(lower_.SeedFile("/.pass/log.0", log).ok());
+  ASSERT_TRUE(lower_.SeedFile("/f", "0123456789").ok());
+  auto report = RunRecovery(&lower_);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->complete_txns, 2u);
+  EXPECT_EQ(report->consistent_extents, 1u);
+  EXPECT_EQ(report->inconsistent_extents, 1u);
+  EXPECT_EQ(report->recovered_entries.size(), 1u);
+}
+
 }  // namespace
 }  // namespace pass::lasagna

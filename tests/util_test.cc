@@ -105,6 +105,84 @@ TEST(Md5Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(Md5ToHex(incremental.Finish()), Md5::HexHash(data));
 }
 
+// `n` bytes from `rng`, one draw per byte.
+std::string RandomBytes(Rng* rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& ch : out) {
+    ch = static_cast<char>(rng->Next());
+  }
+  return out;
+}
+
+// The literals in the next two tests are digests of a known-good MD5 and
+// must never change: they pin every round constant, rotate count and
+// message index, and the padding at every buffered length.
+TEST(Md5Test, DigestsOfEveryShortLengthArePinned) {
+  // Lengths 0..130 cover padding that fits the last block (< 56 bytes
+  // left), padding that needs another block (>= 56) and exact multiples of
+  // 64.
+  Rng rng(19);
+  std::string digests;
+  for (size_t n = 0; n <= 130; ++n) {
+    Md5Digest digest = Md5::Hash(RandomBytes(&rng, n));
+    digests.append(reinterpret_cast<const char*>(digest.data()),
+                   digest.size());
+  }
+  EXPECT_EQ(Md5::HexHash(digests), "597e9748267be0ca02fdf01004b927c1");
+}
+
+TEST(Md5Test, OneMebibyteIsPinned) {
+  Rng rng(23);
+  EXPECT_EQ(Md5::HexHash(RandomBytes(&rng, 1 << 20)),
+            "7926475f5e5838507c015a078554c1d2");
+}
+
+TEST(Md5Test, UpdateSplitAtEveryOffsetMatchesOneShot) {
+  Rng rng(29);
+  std::string data = RandomBytes(&rng, 200);
+  Md5Digest whole = Md5::Hash(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    Md5 md5;
+    md5.Update(std::string_view(data).substr(0, split));
+    md5.Update(std::string_view(data).substr(split));
+    EXPECT_EQ(md5.Finish(), whole) << "split at " << split;
+  }
+}
+
+// Bit-at-a-time CRC-32 (reflected polynomial 0xedb88320): the reference
+// the table-driven Crc32 must equal.
+uint32_t BitwiseCrc32(std::string_view data, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (char ch : data) {
+    crc ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1)));
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(31);
+  std::string buffer = RandomBytes(&rng, 64 + 8);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t n = 0; n <= 64; ++n) {
+      std::string_view data = std::string_view(buffer).substr(align, n);
+      uint32_t seed = static_cast<uint32_t>(rng.Next());
+      EXPECT_EQ(Crc32(data, seed), BitwiseCrc32(data, seed))
+          << "align " << align << " length " << n;
+      EXPECT_EQ(Crc32(data), BitwiseCrc32(data, 0));
+    }
+  }
+}
+
+TEST(Crc32Test, SeedContinuesARollingCrc) {
+  Rng rng(37);
+  std::string a = RandomBytes(&rng, 45);
+  std::string b = RandomBytes(&rng, 77);
+  EXPECT_EQ(Crc32(b, Crc32(a)), Crc32(a + b));
+}
+
 TEST(Crc32Test, KnownVector) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
@@ -176,6 +254,30 @@ TEST(RngTest, DoubleInUnitInterval) {
 TEST(RngTest, NameHasRequestedLength) {
   Rng rng(13);
   EXPECT_EQ(rng.NextName(12).size(), 12u);
+}
+
+// NextName and FillName draw exactly as NextBelow(36) per character does,
+// and leave the generator where that loop leaves it.
+TEST(RngTest, NamesMatchNextBelowLoop) {
+  static const char kAlphabet[] = "abcdefghijklmnopqrstuvwxyz0123456789";
+  for (size_t n : {0, 1, 63, 64, 65, 1000}) {
+    Rng reference(41 + n);
+    std::string expected;
+    for (size_t i = 0; i < n; ++i) {
+      expected.push_back(kAlphabet[reference.NextBelow(36)]);
+    }
+    uint64_t after = reference.Next();
+
+    Rng named(41 + n);
+    EXPECT_EQ(named.NextName(n), expected) << n;
+    EXPECT_EQ(named.Next(), after) << n;
+
+    Rng filled(41 + n);
+    std::string buffer(n + 1, '#');
+    filled.FillName(buffer.data(), n);
+    EXPECT_EQ(buffer, expected + "#") << n;
+    EXPECT_EQ(filled.Next(), after) << n;
+  }
 }
 
 TEST(EncodeTest, RoundTripScalars) {

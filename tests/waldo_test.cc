@@ -544,6 +544,42 @@ TEST_F(WaldoTest, OrphanedTransactionsDiscarded) {
   EXPECT_TRUE(db_.PnodesByName("/never").empty());
 }
 
+TEST_F(WaldoTest, MalformedTxnMarkersDiscardTheirTransactions) {
+  // Every frame is CRC-valid (a rewriter recomputes the CRC), but the
+  // first BEGINTXN carries a string and the ENDTXN after it an integer.
+  // Both are malformed: their records are orphans, and the well-formed
+  // transaction that follows still commits.
+  auto root = volume_.root();
+  auto file = *root->Create("f", os::VnodeType::kFile);
+  ASSERT_TRUE(file->Write(0, "y").ok());
+  ASSERT_TRUE(volume_.ForceRotate().ok());
+  std::vector<std::string> closed = volume_.ClosedLogPaths();
+  ASSERT_EQ(closed.size(), 1u);
+  std::string log;
+  lasagna::EncodeLogEntry(
+      &log, {{1, 0}, core::Record::Of(core::Attr::kBeginTxn,
+                                      std::string("not an id"))});
+  lasagna::EncodeLogEntry(&log, {{1, 0}, core::Record::Name("/never")});
+  lasagna::EncodeLogEntry(
+      &log, {{1, 0}, core::Record::Of(core::Attr::kEndTxn, int64_t{7})});
+  lasagna::TxnDescriptor descriptor;
+  descriptor.txn_id = 8;
+  std::string blob = lasagna::EncodeTxnDescriptor(descriptor);
+  lasagna::EncodeLogEntry(
+      &log, {{2, 0}, core::Record::Of(core::Attr::kBeginTxn, int64_t{8})});
+  lasagna::EncodeLogEntry(&log, {{2, 0}, core::Record::Name("/kept")});
+  lasagna::EncodeLogEntry(
+      &log, {{2, 0}, core::Record::Of(core::Attr::kEndTxn, blob)});
+  ASSERT_TRUE(lower_.WriteFileRaw(closed[0], log).ok());
+
+  ASSERT_TRUE(waldo_.Poll().ok());
+  EXPECT_EQ(waldo_.stats().logs_processed, 1u);
+  EXPECT_EQ(waldo_.stats().orphans_discarded, 2u);
+  EXPECT_EQ(waldo_.stats().entries_ingested, 1u);
+  EXPECT_TRUE(db_.PnodesByName("/never").empty());
+  EXPECT_EQ(db_.PnodesByName("/kept").size(), 1u);
+}
+
 TEST_F(WaldoTest, MultipleRotationsAllIngested) {
   auto root = volume_.root();
   auto file = *root->Create("big", os::VnodeType::kFile);
