@@ -3,9 +3,10 @@
 // fact; here a security team registers the question *once* — "flag every
 // process whose ancestry crosses a taint source" — and a BSM-style audit
 // stream keeps the answer fresh as fork/exec chains, file I/O, and
-// cross-shard lineage pour through cluster ingest. Each Refresh() pulls
-// only the ingest frontier and re-evaluates the delta, so the watchlist is
-// live without ever re-reading the whole provenance graph.
+// cross-shard lineage pour through cluster ingest. Each Refresh() reads
+// only the rows written since the last one and extends the watchlist by
+// them, so it stays live without ever re-reading the whole provenance
+// graph.
 
 #include <cstdio>
 #include <string>

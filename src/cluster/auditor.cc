@@ -42,11 +42,6 @@ void AuditReport::Merge(const AuditReport& other) {
 
 namespace {
 
-// MD5 cost per byte, matching LasagnaOptions::md5_ns_per_byte: the auditor
-// pays for verification in the same virtual currency the writers pay for
-// the ENDTXN checksum.
-constexpr double kMd5NsPerByte = 2.0;
-
 std::string RangeLabel(core::PnodeRange range) {
   return StrFormat("[%llu,%llu)", static_cast<unsigned long long>(range.begin),
                    static_cast<unsigned long long>(range.end));
@@ -63,8 +58,11 @@ fs::MemFs* Auditor::LowerOf(int shard) {
 
 void Auditor::ChargeHashing(AuditReport* report, uint64_t bytes) {
   report->bytes_hashed += bytes;
+  // The auditor pays for verification at the MD5 rate the cluster's
+  // volumes charge their writers for the ENDTXN checksum.
+  double ns_per_byte = cluster_->options().lasagna_options.md5_ns_per_byte;
   cluster_->env().ChargeCpu(
-      static_cast<sim::Nanos>(static_cast<double>(bytes) * kMd5NsPerByte));
+      static_cast<sim::Nanos>(static_cast<double>(bytes) * ns_per_byte));
   cluster_->env().obs().metrics().GetCounter("audit.bytes_hashed").Add(bytes);
 }
 

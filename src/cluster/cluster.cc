@@ -244,15 +244,12 @@ Result<ClusterRecoveryReport> ClusterCoordinator::Recover() {
         continue;
       }
       ClusterJournal* journal = journals_[shard].get();
-      waldo::ProvDb* source = machines_[migration.from]->db();
       if (!migration.copied) {
-        std::vector<lasagna::LogEntry> entries =
-            source->EntriesInRange(migration.range.begin,
-                                   migration.range.end);
-        queue_->ShipTo(migration.to, entries);
+        CopyRange(migration.from, migration.to, migration.range);
         journal->AppendMigrateCopied(migration.id);
       }
-      source->DeleteRange(migration.range.begin, migration.range.end);
+      machines_[migration.from]->db()->DeleteRange(migration.range.begin,
+                                                   migration.range.end);
       journal->AppendMigrateCommit(migration.id);
       ++report.migrations_rolled_forward;
     }
@@ -394,11 +391,9 @@ Result<MigrationReport> ClusterCoordinator::MigrateRange(core::PnodeRange range,
     return Unavailable("migrate: coordinator crashed");
   }
 
-  // Copy: idempotent through InsertUnique, so recovery may re-ship.
+  // Copy: idempotent through InsertCopy, so recovery may re-ship.
   obs::ScopedSpan copy_span(trace, "migrate.copy", from);
-  std::vector<lasagna::LogEntry> entries =
-      source->EntriesInRange(range.begin, range.end);
-  IngestQueue::ShipReport shipped = queue_->ShipTo(to_shard, entries);
+  IngestQueue::ShipReport shipped = CopyRange(from, to_shard, range);
   if (env_.crashed()) {
     return Unavailable("migrate: coordinator crashed");
   }
@@ -589,73 +584,110 @@ FederatedSource ClusterCoordinator::Source(int portal_shard,
                          cache_bytes, &env_.obs());
 }
 
-FrontierSnapshot ClusterCoordinator::CaptureFrontier() const {
-  FrontierSnapshot snap;
-  snap.buckets.reserve(machines_.size());
-  for (const auto& m : machines_) {
-    snap.buckets.push_back(m->db()->range_mutation_buckets());
-  }
-  return snap;
-}
-
-FrontierDelta ClusterCoordinator::FrontierSince(const FrontierSnapshot& snap,
+FrontierDelta ClusterCoordinator::FrontierSince(const FrontierCursor& cursor,
                                                 int subscriber_shard) {
   // Publication RPC sizes, matching FederatedSource's nominal wire model:
-  // the request names the subscriber's bucket cursors, the response carries
-  // one row per frontier entry.
+  // the request names the subscriber's sequence number, the response
+  // carries one row per entry and per reported edge half.
   constexpr uint64_t kHeaderBytes = 48;
-  constexpr uint64_t kPerBucketRequestBytes = 8;
+  constexpr uint64_t kCursorRequestBytes = 8;
   constexpr uint64_t kPerEntryResponseBytes = 16;
 
   obs::ScopedSpan span(&env_.obs().trace(), "standing.frontier");
   FrontierDelta delta;
-  std::set<core::PnodeId> seen;
+  std::map<core::PnodeId, FrontierEntry> entries;
+  std::map<std::pair<core::ObjectRef, core::ObjectRef>, FrontierEdge> edges;
   for (int shard = 0; shard < shard_count(); ++shard) {
     const waldo::ProvDb& db = *machines_[shard]->db();
-    const std::map<uint64_t, uint64_t>* old =
-        static_cast<size_t>(shard) < snap.buckets.size()
-            ? &snap.buckets[shard]
-            : nullptr;
-    uint64_t dirty = 0;
+    delta.end.push_back(db.feed_end());
     uint64_t rows = 0;
-    for (const auto& [bucket, counter] : db.range_mutation_buckets()) {
-      uint64_t prev = 0;
-      if (old != nullptr) {
-        auto it = old->find(bucket);
-        prev = it == old->end() ? 0 : it->second;
+    // The entry of an owned pnode; null for a pnode this shard does not own.
+    auto entry = [&](core::PnodeId pnode) -> FrontierEntry* {
+      if (shard_map_.OwnerOf(pnode) != shard) {
+        return nullptr;
       }
-      if (counter == prev) {
-        continue;  // no row keyed in this bucket changed here
+      auto [it, added] = entries.try_emplace(pnode);
+      if (added) {
+        it->second = FrontierEntry{pnode, db.LatestVersionOf(pnode), shard,
+                                   db.TypeOf(pnode), false};
+        ++rows;
       }
-      ++dirty;
-      core::PnodeId begin = bucket << waldo::ProvDb::kRangeBucketBits;
-      core::PnodeId end = (bucket + 1) << waldo::ProvDb::kRangeBucketBits;
-      for (core::PnodeId pnode : db.PnodesInRange(begin, end)) {
-        // Replica rows are reported by the pnode's owner: the owner's own
-        // bucket moved too (replication lands the same entry there).
-        if (shard_map_.OwnerOf(pnode) != shard) {
+      return &it->second;
+    };
+    if (cursor.feed == 0) {
+      for (core::PnodeId pnode : db.AllPnodes()) {
+        entry(pnode);
+      }
+    } else {
+      for (const waldo::FeedRow& row : db.FeedSince(cursor.seqs[shard])) {
+        FrontierEntry* keyed = entry(row.key.pnode);
+        if (keyed == nullptr) {
           continue;
         }
-        if (!seen.insert(pnode).second) {
+        if (row.kind == waldo::FeedRow::Kind::kAttr) {
+          keyed->attrs = true;
           continue;
         }
-        delta.entries.push_back(FrontierEntry{pnode, db.LatestVersionOf(pnode),
-                                              shard, db.TypeOf(pnode)});
+        bool forward = row.kind == waldo::FeedRow::Kind::kForward;
+        core::ObjectRef subject = forward ? row.key : row.other;
+        core::ObjectRef ancestor = forward ? row.other : row.key;
+        FrontierEdge& edge = edges[{subject, ancestor}];
+        edge.subject = subject;
+        edge.ancestor = ancestor;
+        (forward ? edge.forward : edge.reverse) = true;
         ++rows;
       }
     }
-    if (dirty == 0) {
-      continue;
-    }
-    delta.dirty_buckets += dirty;
-    ++delta.shards_reporting;
-    if (shard != subscriber_shard) {
+    if (rows != 0 && shard != subscriber_shard) {
       ++delta.rpcs;
-      net_.RoundTrip(kHeaderBytes + kPerBucketRequestBytes * dirty,
+      net_.RoundTrip(kHeaderBytes + kCursorRequestBytes,
                      kHeaderBytes + kPerEntryResponseBytes * rows);
     }
   }
+  for (auto& [pnode, entry] : entries) {
+    delta.entries.push_back(std::move(entry));
+  }
+  for (auto& [key, edge] : edges) {
+    delta.edges.push_back(edge);
+  }
   return delta;
+}
+
+void ClusterCoordinator::CommitFrontier(FrontierCursor* cursor,
+                                        const std::vector<uint64_t>& end) {
+  bool open = cursor->feed == 0;
+  if (open) {
+    cursor->feed = next_frontier_feed_++;
+  }
+  for (int shard = 0; shard < shard_count(); ++shard) {
+    waldo::ProvDb* db = machines_[shard]->db();
+    if (open) {
+      db->OpenFeed(cursor->feed, end[shard]);
+    } else {
+      db->AdvanceFeed(cursor->feed, end[shard]);
+    }
+  }
+  cursor->seqs = end;
+}
+
+void ClusterCoordinator::CloseFrontier(FrontierCursor* cursor) {
+  if (cursor->feed == 0) {
+    return;
+  }
+  for (const auto& m : machines_) {
+    m->db()->CloseFeed(cursor->feed);
+  }
+  *cursor = FrontierCursor();
+}
+
+IngestQueue::ShipReport ClusterCoordinator::CopyRange(int from, int to,
+                                                      core::PnodeRange range) {
+  const waldo::ProvDb& source = *machines_[from]->db();
+  IngestQueue::ShipReport shipped =
+      queue_->ShipTo(to, source.EntriesInRange(range.begin, range.end));
+  machines_[to]->db()->AppendFeed(
+      source.FeedRowsInRange(range.begin, range.end));
+  return shipped;
 }
 
 EpochDigest ClusterCoordinator::ComputeEpochDigest() {

@@ -120,31 +120,44 @@ struct EpochDigest {
 };
 
 // ---- Frontier publication (standing-query plane) ----------------------------
-// The per-shard "new pnode" feed the standing-query tier subscribes to,
-// piggybacked on ProvDb's per-range mutation buckets: a FrontierSnapshot
-// remembers every shard's bucket counters, and FrontierSince diffs the live
-// counters against it. A bucket whose counter moved holds at least one
-// pnode whose rows changed, so the delta is every pnode of every dirty
-// bucket — attributed to its current ShardMap owner (replica copies are
-// reported by the owner only) and stamped with its latest version and TYPE.
+// The per-shard feed of written rows the standing-query tier subscribes to
+// (ProvDb's row feed). A cursor is one sequence number per shard, and
+// FrontierSince reports what the rows since it changed, each row
+// attributed to the current ShardMap owner of the pnode keying it: rows a
+// shard keeps for pnodes it does not own (replica halves, a range that
+// moved away) are reported by the owner's copy instead. A migration's copy
+// is not a new row: the coordinator carries the source's unread rows for
+// the range over to the destination's feed (ProvDb::InsertCopy).
 
+// A pnode keying at least one reported row, stamped as its owner sees it
+// now.
 struct FrontierEntry {
   core::PnodeId pnode = 0;
   core::Version version = 0;  // latest known at publication time
   int shard = -1;             // current owner per the ShardMap
   std::string type;           // TYPE attribute ("FILE", "PROC", ...)
+  bool attrs = false;         // gained attribute rows since the cursor
 };
 
-struct FrontierSnapshot {
-  // Per shard: bucket id -> mutation counter at capture time.
-  std::vector<std::map<uint64_t, uint64_t>> buckets;
+// An INPUT edge with at least one half written since the cursor, reported
+// once however many halves and shards carried it.
+struct FrontierEdge {
+  core::ObjectRef subject;
+  core::ObjectRef ancestor;
+  bool forward = false;  // the subject's owner wrote the forward row
+  bool reverse = false;  // the ancestor's owner wrote the reverse row
+};
+
+struct FrontierCursor {
+  uint64_t feed = 0;           // feed cursor id on every shard; 0 = none
+  std::vector<uint64_t> seqs;  // per shard: the first row not yet consumed
 };
 
 struct FrontierDelta {
-  std::vector<FrontierEntry> entries;
-  uint64_t dirty_buckets = 0;
-  uint64_t shards_reporting = 0;  // shards with >= 1 dirty bucket
-  uint64_t rpcs = 0;              // publication exchanges network-charged
+  std::vector<FrontierEntry> entries;  // ascending by pnode
+  std::vector<FrontierEdge> edges;     // ascending by (subject, ancestor)
+  std::vector<uint64_t> end;  // per shard: the sequence the delta reads to
+  uint64_t rpcs = 0;          // publication exchanges network-charged
 };
 
 // What Recover() found and repaired after a coordinator crash.
@@ -173,6 +186,7 @@ class ClusterCoordinator {
   sim::Env& env() { return env_; }
   sim::Network& network() { return net_; }
   const ShardMap& shard_map() const { return shard_map_; }
+  const ClusterOptions& options() const { return options_; }
 
   // Shard owning a pnode per the ShardMap; -1 when it names no member.
   int OwnerOf(core::PnodeId pnode) const { return shard_map_.OwnerOf(pnode); }
@@ -279,16 +293,20 @@ class ClusterCoordinator {
   size_t deferred_retirements() const { return deferred_.size(); }
 
   // ---- Frontier publication (standing-query tier) --------------------------
-  // Snapshot every shard's mutation-bucket counters (the subscription
-  // cursor a standing tier holds; advance it only after the delta's
-  // consumers committed, so a crash mid-consumption re-reads the same
-  // delta — the downstream merge is idempotent).
-  FrontierSnapshot CaptureFrontier() const;
-  // Every pnode in a bucket whose counter moved since `snap`, owner-
-  // attributed (see FrontierEntry). Charges one publication round trip per
-  // reporting shard other than `subscriber_shard`.
-  FrontierDelta FrontierSince(const FrontierSnapshot& snap,
+  // What the rows written since `cursor` changed (see FrontierDelta). A
+  // cursor with no feed reads a full publication instead: every owned
+  // pnode as an entry, no edges. Charges one publication round trip per
+  // shard with something to report, other than `subscriber_shard`.
+  FrontierDelta FrontierSince(const FrontierCursor& cursor,
                               int subscriber_shard = 0);
+  // Advance `cursor` to `end` (a delta's end), opening its feed cursors on
+  // the first call. Rows every open cursor has passed are dropped. A
+  // subscriber commits only after the delta's consumers committed, so a
+  // crash mid-consumption re-reads the same rows.
+  void CommitFrontier(FrontierCursor* cursor,
+                      const std::vector<uint64_t>& end);
+  // Close the cursor's feed cursors (the shards stop keeping rows for it).
+  void CloseFrontier(FrontierCursor* cursor);
 
   // Commitment to the cluster's current state (see EpochDigest above).
   // Takes the Quiesce() barrier first so in-flight replication cannot make
@@ -320,6 +338,10 @@ class ClusterCoordinator {
   // Run every deferred delete whose blocking pins have released, appending
   // the MIGRATE_COMMIT that closes its migration. Returns rows deleted.
   uint64_t RetireEligible();
+  // Ship every row of `range` from shard `from` to shard `to` (migration
+  // copy; idempotent through InsertCopy), carrying the source's kept feed
+  // rows for the range over with it.
+  IngestQueue::ShipReport CopyRange(int from, int to, core::PnodeRange range);
 
   ClusterOptions options_;
   sim::Env env_;
@@ -332,6 +354,7 @@ class ClusterCoordinator {
   MigrationStats migration_stats_;
   uint64_t entries_recovered_ = 0;
   uint64_t next_migration_id_ = 1;
+  uint64_t next_frontier_feed_ = 1;
   std::multiset<uint64_t> pinned_epochs_;
   std::vector<DeferredRetirement> deferred_;
 };

@@ -251,9 +251,9 @@ IngestQueue::ShipReport IngestQueue::ShipTo(
       obs::ScopedSpan apply_span(trace, rpc_ctx, "shard.apply_chunk",
                                  destination);
       for (const lasagna::LogEntry& entry : chunk) {
-        // InsertUnique adds only the rows (or edge halves) still missing, so
+        // InsertCopy adds only the rows (or edge halves) still missing, so
         // re-sending previously replicated entries cannot duplicate them.
-        if (db->InsertUnique(entry)) {
+        if (db->InsertCopy(entry)) {
           ++report.entries_shipped;
         } else {
           ++report.entries_skipped;

@@ -139,7 +139,8 @@ class IngestQueue {
   // Ship `entries` to `destination`'s database in batch-sized chunks, one
   // round trip per chunk. The sender cannot know the receiver's state, so
   // every entry crosses the wire; the destination skips rows it already
-  // holds (earlier replication makes migration re-send some). Synchronous:
+  // holds (earlier replication makes migration re-send some) and writes
+  // the rest as copies (ProvDb::InsertCopy: no feed rows). Synchronous:
   // bypasses the per-destination pending queues and IngestStats.
   ShipReport ShipTo(int destination,
                     const std::vector<lasagna::LogEntry>& entries);

@@ -4,41 +4,70 @@
 // StandingQueryTier: PQL queries registered once and kept fresh as audit
 // events stream through cluster ingest.
 //
-// A registered query is re-evaluated *incrementally*: each Refresh() pulls
-// the per-shard frontier of newly ingested pnodes (ClusterCoordinator::
-// FrontierSince, piggybacked on ProvDb's per-range mutation buckets),
-// computes the set of root bindings whose results could have changed — the
-// frontier pnodes plus their closure backwards along the link directions
-// the query actually uses — and re-runs the query over just those roots,
-// through a root-restricted view of the tier's FederatedSource. Stored rows
-// are keyed by the root binding that produced them (QueryOptions::
-// attribute_roots), so the merge replaces exactly the affected roots' rows:
-// matches appear, change, and retract without ever re-reading the
-// unaffected part of the graph. Rows newly present after a merge are
-// emitted as notifications.
+// Each Refresh() reads what the rows written since the tier's cursor
+// changed (ClusterCoordinator::FrontierSince over every shard's row feed):
+// the new INPUT edges, the pnodes that gained attribute rows, and a catalog
+// entry (latest version, TYPE, owner) for every pnode keying a new row.
+// Stored rows are keyed by the root binding that produced them
+// (QueryOptions::attribute_roots), and each registered query brings its
+// rows up to date one of three ways.
+//
+//   * Extension (semi-naive). A query whose FROM list is a root set plus
+//     one `*` or `+` link step from it, and whose where/select read only
+//     literals and attributes of those two variables (no not, exists,
+//     aggregate, subquery or union), is extended by the delta. A root R
+//     that reaches the tail of a new edge along the step is evaluated once,
+//     alone, through a view whose step out of R returns only the heads of
+//     the new edges R reaches; R's new rows are inserted and none erased.
+//     Every binding the view finds is real, and every new binding's path
+//     has a last new edge whose head the view returns, so the view finds
+//     them all. Provenance only grows (the analyzer adds versions instead
+//     of rewriting history, and migration moves rows without changing the
+//     logical graph), so nothing an extended root stored goes stale.
+//   * Replace. Roots an extension cannot cover are erased and re-evaluated
+//     through a root-restricted view: for an extensible query, the roots
+//     whose identity changed (a new pnode, a new latest version or a new
+//     TYPE) and the roots that reach a pnode which existed before and
+//     gained attribute rows (AttributeMany reads every version of a pnode,
+//     so such rows can change old bindings); for any other query, every
+//     root that reaches a pnode keying a new row along the link directions
+//     the query uses.
+//   * Full re-evaluation, for shapes root restriction cannot cover: a
+//     second Provenance-rooted FROM, a subquery, a Provenance-rooted path
+//     in where/select (StandingStats::full_evals counts them).
+//
+// Notifications come from the merges themselves: a row whose last
+// contributing root goes, or whose first arrives, is remembered with
+// whether it was present at the last commit, and the commit reports the
+// rows present now that were not then.
 //
 // Freshness and fault model:
 //   * Refresh() takes the cluster Quiesce() barrier, then evaluates against
 //     the live ShardMap — read-your-writes over everything Sync() acked,
-//     across migrations (frontier entries are owner-attributed through the
-//     live map, so a range that moved mid-stream is re-read from its new
-//     owner).
-//   * The frontier cursor advances only after every query's merge commits.
-//     A crash mid-refresh (sim::Env crash points) leaves the cursor
-//     behind: after ClusterCoordinator::Recover(), the next Refresh()
-//     re-reads a superset of the lost delta and the merges — erase the
-//     affected roots, re-insert their rows — are idempotent, so standing
-//     results converge to exactly a from-scratch evaluation. Notification
-//     de-duplication commits on the same schedule (a crashed refresh
-//     re-emits rather than drops).
+//     across migrations (feed rows are owner-attributed through the live
+//     map, and a migration carries its range's unread rows along).
+//   * The cursor, the catalog and the notifications commit together, only
+//     after every query's merge succeeded. A failed or crashed refresh
+//     leaves them behind: the next Refresh() re-reads a superset of the
+//     delta, and its merges — extension inserts, replace erases and
+//     re-inserts — are idempotent, so standing results converge to exactly
+//     a from-scratch evaluation and no notification is lost or repeated.
+//   * The first Refresh() reads a full publication (every owned pnode, no
+//     feed), seeds the catalog and evaluates every query from scratch.
 //
-// Queries the root-restriction argument cannot cover — a second
-// Provenance-rooted FROM, a subquery, a Provenance-rooted path in where/
-// select — register fine but fall back to full re-evaluation each refresh
-// (StandingStats::full_evals counts them).
+// Limits (EvalLimits) bound every evaluation the tier runs, and each
+// evaluation covers only its own roots. A seed or a full re-evaluation
+// fails wherever a from-scratch run would; a replace evaluation (the
+// replaced roots' whole closures) or an extension evaluation (one root's
+// closure beyond its new heads) can stay inside limits that a
+// from-scratch run of the whole query exceeds. A failed evaluation fails
+// the Refresh() and commits nothing. The walk back from the delta that
+// finds the affected roots is bounded by max_closure_nodes too; past it
+// the query replaces every catalogued root that refresh
+// (StandingStats::walk_overflows).
 //
 // Registration shares the unified pql::QueryOptions surface: limits bound
-// every re-evaluation, trace_label tags the tier's spans/metrics, and the
+// every evaluation, trace_label tags the tier's spans/metrics, and the
 // consistency mode must be kDefault or kFresh — a standing query pinned to
 // a routing epoch would never observe new data, so kPinnedEpoch is
 // rejected.
@@ -116,21 +145,29 @@ struct StandingNotification {
   std::vector<pql::Value> row;
 };
 
+// Steady state means every Refresh() cost except a query's first (seed)
+// evaluation, which seed_rows_touched counts instead.
 struct StandingStats {
   uint64_t refreshes = 0;
-  uint64_t frontier_entries = 0;   // pnodes reported by FrontierSince
+  // Catalog entries plus edges FrontierSince reported.
+  uint64_t frontier_entries = 0;
   uint64_t frontier_rpcs = 0;      // publication exchanges charged
-  uint64_t incremental_evals = 0;  // delta-restricted re-evaluations
+  uint64_t incremental_evals = 0;  // query refreshes by extension/replace
   uint64_t full_evals = 0;         // non-incremental fallback evaluations
-  uint64_t affected_roots = 0;     // roots re-evaluated across refreshes
-  // Affected-root walks that outgrew EvalLimits::max_closure_nodes and fell
-  // back to re-evaluating every catalogued root that round.
+  uint64_t affected_roots = 0;     // candidate roots extended or replaced
+  // Walks back from the delta that outgrew EvalLimits::max_closure_nodes
+  // and fell back to replacing every catalogued root that refresh.
   uint64_t walk_overflows = 0;
-  // Result rows read from the source during steady-state refreshes (the
-  // incremental cost fig11 gates against a naive full re-run)...
+  // Steady state: rows read through the tier's MeteredSource (the walks
+  // back from the delta included) plus root rows served from the catalog
+  // — the cost fig11 compares with a naive full re-run...
   uint64_t rows_touched = 0;
+  // ...the remote exchanges of the tier's FederatedSource (publication
+  // exchanges are frontier_rpcs)...
   uint64_t eval_rpcs = 0;
-  // ...vs the one-time cost of seeding each query's first evaluation.
+  // ...and the calls made on the MeteredSource (MeteredSource::ops).
+  uint64_t source_calls = 0;
+  // The one-time cost of seeding each query's first evaluation.
   uint64_t seed_rows_touched = 0;
   uint64_t notifications = 0;
 };
@@ -152,8 +189,8 @@ class StandingQueryTier {
                             pql::QueryOptions options = pql::QueryOptions());
   Status Unregister(uint64_t id);
 
-  // Pull the ingest frontier and bring every registered query up to date
-  // with everything Sync() has acked. Returns the new matches.
+  // Read the row feed since the cursor and bring every registered query up
+  // to date with everything Sync() has acked. Returns the new matches.
   Result<std::vector<StandingNotification>> Refresh();
 
   // Current standing result of a query: distinct rows, sorted, under the
@@ -164,6 +201,8 @@ class StandingQueryTier {
   size_t query_count() const { return queries_.size(); }
   // Whether `id` runs the incremental path (false: full re-eval fallback).
   Result<bool> IsIncremental(uint64_t id) const;
+  // Whether `id` is extended by the delta (false: replaced or re-evaluated).
+  Result<bool> IsExtensible(uint64_t id) const;
 
   const StandingStats& stats() const { return stats_; }
   const FederatedSource& source() const { return source_; }
@@ -180,9 +219,18 @@ class StandingQueryTier {
   struct QueryShape {
     bool incremental = true;
     // Link-step directions the query uses (false = forward/ancestors,
-    // true = inverse/descendants): the affected-root closure walks each
-    // of them backwards.
+    // true = inverse/descendants): the replace path's affected-root walk
+    // follows each of them backwards.
     std::set<bool> directions;
+    // The FROM list's one `*`/`+` step when the query is extensible (see
+    // the header comment); null otherwise.
+    const pql::PathStep* step = nullptr;
+  };
+
+  using RowKey = std::vector<std::string>;
+  struct StoredRow {
+    std::vector<pql::Value> values;
+    size_t roots = 0;  // roots contributing the row
   };
 
   struct StandingQuery {
@@ -193,13 +241,29 @@ class StandingQueryTier {
     QueryShape shape;
     bool seeded = false;
     std::vector<std::string> columns;
-    // root pnode -> (row dedup key -> row): the rows that root contributed.
-    std::map<core::PnodeId,
-             std::map<std::vector<std::string>, std::vector<pql::Value>>>
-        rows_by_root;
-    // Row keys already reported as notifications (commits only when the
-    // whole Refresh() succeeds).
-    std::set<std::vector<std::string>> notified;
+    std::map<RowKey, StoredRow> rows;  // the distinct rows present
+    std::map<core::PnodeId, std::set<RowKey>> keys_by_root;
+    // Rows that appeared or went since the last commit -> whether each was
+    // present at that commit.
+    std::map<RowKey, bool> unreported;
+  };
+
+  // What one delta changed, as the committed catalog sees it.
+  struct Changes {
+    // New pnodes and pnodes whose latest version or TYPE moved.
+    std::set<core::PnodeId> reidentified;
+    // Catalogued pnodes that gained attribute rows.
+    std::vector<const FrontierEntry*> attributed;
+  };
+
+  // Source cost counters, read at two points and subtracted.
+  struct Cost {
+    uint64_t calls = 0;
+    uint64_t rows = 0;
+    uint64_t rpcs = 0;
+    Cost operator-(const Cost& other) const {
+      return Cost{calls - other.calls, rows - other.rows, rpcs - other.rpcs};
+    }
   };
 
   static void AnalyzeQuery(const pql::Query& query,
@@ -208,23 +272,49 @@ class StandingQueryTier {
                           const pql::GraphSource* source, QueryShape* shape);
   static void CollectPath(const pql::PathExpr& path,
                           const pql::GraphSource* source, QueryShape* shape);
+  // The step to extend along if `query` has the extensible shape, else
+  // null.
+  static const pql::PathStep* ExtensionStep(const pql::Query& query,
+                                            const pql::GraphSource* source);
 
-  // Roots whose results may depend on the delta: the delta pnodes plus
+  Cost Spent() const;
+  // The catalog as this refresh sees it: the delta's entries over the
+  // committed ones. Null for a pnode never published.
+  const CatalogEntry* Catalogued(core::PnodeId pnode) const;
+  // Every catalogued pnode (a walk overflow's replace set).
+  std::set<core::PnodeId> Everything();
+
+  // Bring one seeded, incremental query up to date with the delta.
+  Status Update(StandingQuery* query, const FrontierDelta& delta,
+                const Changes& changes);
+  // The extension path (see the header comment).
+  Status Extend(StandingQuery* query, const FrontierDelta& delta,
+                const Changes& changes);
+  // Roots a non-extensible query must replace: the delta pnodes plus
   // their closure walking every used link direction backwards.
-  Result<std::set<core::PnodeId>> AffectedRoots(
+  std::set<core::PnodeId> AffectedRoots(
       const StandingQuery& query, const std::vector<FrontierEntry>& delta);
 
-  // Re-evaluate `query` over `roots` (restricted root sets) and splice the
-  // result into rows_by_root, replacing every affected root's rows.
-  Status EvalAndMerge(StandingQuery* query,
-                      const std::set<core::PnodeId>* roots, bool seed);
+  // Evaluate `query` over `roots` (restricted root sets; every root when
+  // null) and replace those roots' rows with the result.
+  Status Replace(StandingQuery* query, const std::set<core::PnodeId>* roots);
+  static Result<pql::QueryResult> Evaluate(const StandingQuery& query,
+                                           const pql::GraphSource* source);
+  // Store a root-attributed result's rows (erasing nothing), and erase
+  // every row one root contributed; both record what they change in
+  // StandingQuery::unreported.
+  static void Insert(StandingQuery* query, pql::QueryResult result);
+  static void EraseRoot(StandingQuery* query, core::PnodeId root);
 
   ClusterCoordinator* cluster_;
   int portal_shard_;
-  FederatedSource source_;   // live-map federated view, owned by the tier
-  MeteredSource meter_;      // everything the tier reads goes through this
-  FrontierSnapshot cursor_;  // advances only after a whole Refresh commits
-  std::map<core::PnodeId, CatalogEntry> catalog_;
+  FederatedSource source_;  // live-map federated view, owned by the tier
+  MeteredSource meter_;     // everything the tier reads goes through this
+  FrontierCursor cursor_;   // advances only after a whole Refresh commits
+  std::map<core::PnodeId, CatalogEntry> catalog_;  // as of cursor_
+  std::map<core::PnodeId, CatalogEntry> updates_;  // this refresh's delta
+  // Root rows served from the catalog during this refresh.
+  uint64_t served_rows_ = 0;
   std::map<uint64_t, std::unique_ptr<StandingQuery>> queries_;
   uint64_t next_id_ = 1;
   StandingStats stats_;

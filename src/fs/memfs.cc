@@ -96,7 +96,7 @@ Result<os::VnodeRef> MemVnode::Create(std::string_view name,
   fs_->ChargeJournal();
   fs_->Trace(FsOp{type == os::VnodeType::kDirectory ? FsOp::Kind::kMkdir
                                                     : FsOp::Kind::kCreate,
-                  child->PathFromRoot()});
+                  child->PathFromRoot(), {}, {}});
   return os::VnodeRef(std::make_shared<MemVnode>(fs_, std::move(child)));
 }
 
@@ -111,7 +111,7 @@ Status MemVnode::Unlink(std::string_view name) {
   std::string path = it->second->PathFromRoot();
   inode_->children.erase(it);
   fs_->ChargeJournal();
-  fs_->Trace(FsOp{FsOp::Kind::kUnlink, path});
+  fs_->Trace(FsOp{FsOp::Kind::kUnlink, path, {}, {}});
   return Status::Ok();
 }
 
@@ -294,7 +294,7 @@ Status MemFs::Rename(const os::VnodeRef& parent_from,
   victim->name = std::string(name_to);
   dst_dir->children[victim->name] = victim;
   ChargeJournal();
-  Trace(FsOp{FsOp::Kind::kRename, old_path, victim->PathFromRoot()});
+  Trace(FsOp{FsOp::Kind::kRename, old_path, victim->PathFromRoot(), {}});
   return Status::Ok();
 }
 

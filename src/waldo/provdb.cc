@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "src/util/logging.h"
 #include "src/util/md5.h"
 #include "src/util/strings.h"
 
@@ -28,15 +29,22 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
 
   if (record.attr == core::Attr::kInput) {
     if (const auto* ancestor = std::get_if<core::ObjectRef>(&record.value)) {
-      WriteEdge(subject, *ancestor, /*forward=*/true, /*reverse=*/true);
+      WriteEdge(subject, *ancestor, /*forward=*/true, /*reverse=*/true,
+                /*feed=*/true);
     } else {
       versions_[subject.pnode].insert(subject.version);  // no edge to store
     }
     return;
   }
+  WriteAttr(subject, record, /*feed=*/true);
+}
 
-  // Attribute record.
+void ProvDb::WriteAttr(const core::ObjectRef& subject,
+                       const core::Record& record, bool feed) {
   ++range_mutations_[RangeBucketOf(subject.pnode)];
+  if (feed) {
+    Feed(FeedRow::Kind::kAttr, subject, {});
+  }
   std::string encoded;
   core::EncodeRecord(&encoded, record);
   records_.Put(RefKey('r', subject), encoded);
@@ -52,16 +60,79 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
 
 void ProvDb::WriteEdge(const core::ObjectRef& subject,
                        const core::ObjectRef& ancestor, bool forward,
-                       bool reverse) {
+                       bool reverse, bool feed) {
   if (forward) {
     ++range_mutations_[RangeBucketOf(subject.pnode)];
+    if (feed) {
+      Feed(FeedRow::Kind::kForward, subject, ancestor);
+    }
     indexes_.Put(RefKey('i', subject), EncodeRef(ancestor));
   }
   if (reverse) {
     ++range_mutations_[RangeBucketOf(ancestor.pnode)];
+    if (feed) {
+      Feed(FeedRow::Kind::kReverse, ancestor, subject);
+    }
     indexes_.Put(RefKey('o', ancestor), EncodeRef(subject));
   }
   MirrorEdge(subject, ancestor, forward, reverse);
+}
+
+void ProvDb::Feed(FeedRow::Kind kind, const core::ObjectRef& key,
+                  const core::ObjectRef& other) {
+  ++feed_end_;
+  if (!feed_cursors_.empty()) {
+    feed_.push_back(FeedRow{kind, key, other});
+  }
+}
+
+void ProvDb::OpenFeed(uint64_t id, uint64_t seq) {
+  PASS_CHECK(seq + feed_.size() >= feed_end_ && seq <= feed_end_);
+  feed_cursors_[id] = seq;
+}
+
+void ProvDb::AdvanceFeed(uint64_t id, uint64_t seq) {
+  PASS_CHECK(seq <= feed_end_);
+  feed_cursors_[id] = seq;
+  uint64_t oldest = seq;
+  for (const auto& [cursor, at] : feed_cursors_) {
+    oldest = std::min(oldest, at);
+  }
+  uint64_t begin = feed_end_ - feed_.size();
+  if (oldest > begin) {
+    feed_.erase(feed_.begin(),
+                feed_.begin() + static_cast<std::ptrdiff_t>(oldest - begin));
+  }
+}
+
+void ProvDb::CloseFeed(uint64_t id) {
+  feed_cursors_.erase(id);
+  if (feed_cursors_.empty()) {
+    feed_.clear();
+  }
+}
+
+std::span<const FeedRow> ProvDb::FeedSince(uint64_t seq) const {
+  uint64_t begin = feed_end_ - feed_.size();
+  PASS_CHECK(seq >= begin && seq <= feed_end_);
+  return std::span<const FeedRow>(feed_).subspan(seq - begin);
+}
+
+std::vector<FeedRow> ProvDb::FeedRowsInRange(core::PnodeId begin,
+                                             core::PnodeId end) const {
+  std::vector<FeedRow> out;
+  for (const FeedRow& row : feed_) {
+    if (row.key.pnode >= begin && row.key.pnode < end) {
+      out.push_back(row);
+    }
+  }
+  return out;
+}
+
+void ProvDb::AppendFeed(const std::vector<FeedRow>& rows) {
+  for (const FeedRow& row : rows) {
+    Feed(row.kind, row.key, row.other);
+  }
 }
 
 void ProvDb::MirrorAttr(const core::ObjectRef& subject, core::Record record) {
@@ -194,16 +265,6 @@ std::vector<core::PnodeId> ProvDb::AllPnodes() const {
   return out;
 }
 
-std::vector<core::PnodeId> ProvDb::PnodesInRange(core::PnodeId begin,
-                                                 core::PnodeId end) const {
-  std::vector<core::PnodeId> out;
-  for (auto it = versions_.lower_bound(begin);
-       it != versions_.end() && it->first < end; ++it) {
-    out.push_back(it->first);
-  }
-  return out;
-}
-
 std::string ProvDb::TypeOf(core::PnodeId pnode) const {
   // by_type_ holds a handful of types; membership per type is O(log n).
   for (const auto& [type, members] : by_type_) {
@@ -228,6 +289,14 @@ bool RowContains(const Map& map, const Key& key, const Value& value) {
 }  // namespace
 
 bool ProvDb::InsertUnique(const lasagna::LogEntry& entry) {
+  return InsertMissing(entry, /*feed=*/true);
+}
+
+bool ProvDb::InsertCopy(const lasagna::LogEntry& entry) {
+  return InsertMissing(entry, /*feed=*/false);
+}
+
+bool ProvDb::InsertMissing(const lasagna::LogEntry& entry, bool feed) {
   const core::ObjectRef& subject = entry.subject;
   if (entry.record.attr == core::Attr::kInput) {
     const auto* ancestor = std::get_if<core::ObjectRef>(&entry.record.value);
@@ -239,13 +308,13 @@ bool ProvDb::InsertUnique(const lasagna::LogEntry& entry) {
     if (!forward && !reverse) {
       return false;
     }
-    WriteEdge(subject, *ancestor, forward, reverse);
+    WriteEdge(subject, *ancestor, forward, reverse, feed);
     return true;
   }
   if (RowContains(attrs_, subject, entry.record)) {
     return false;
   }
-  Insert(entry);
+  WriteAttr(subject, entry.record, feed);
   return true;
 }
 

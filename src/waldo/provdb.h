@@ -20,6 +20,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +30,19 @@
 #include "src/waldo/kvstore.h"
 
 namespace pass::waldo {
+
+// One row a database wrote, as its feed reports it (see ProvDb's "Row
+// feed" section).
+struct FeedRow {
+  enum class Kind : uint8_t {
+    kAttr,     // attribute record of `key`
+    kForward,  // forward INPUT row: `key` lists `other` as an ancestor
+    kReverse,  // reverse INPUT row: `other` lists `key` as an ancestor
+  };
+  Kind kind = Kind::kAttr;
+  core::ObjectRef key;    // the ref keying the row
+  core::ObjectRef other;  // the edge's other endpoint (INPUT rows only)
+};
 
 struct ProvDbStats {
   uint64_t records = 0;
@@ -83,6 +97,10 @@ class ProvDb {
   // without the reverse one (or vice versa). Returns false when nothing was
   // missing. Migration traffic lands through this, keeping it idempotent.
   bool InsertUnique(const lasagna::LogEntry& entry);
+  // InsertUnique for a migration copy: the same rows, written to no feed.
+  // A copy adds nothing to the logical graph; the coordinator carries the
+  // source's kept feed rows for the range over instead (AppendFeed).
+  bool InsertCopy(const lasagna::LogEntry& entry);
   // Every log entry needed to reconstitute the objects whose pnode lies in
   // [begin, end) on another database: their attribute records, their forward
   // INPUT edges, and the reverse-index rows naming them as ancestor of an
@@ -110,9 +128,10 @@ class ProvDb {
   // ---- Per-range mutation fingerprints -------------------------------------
   // The pnode space is carved into power-of-two buckets of
   // 2^kRangeBucketBits pnodes, and every call that writes or removes rows
-  // (Insert, an inserting InsertUnique, a removing DeleteRange) bumps the
-  // bucket of each pnode that *keys* a touched row (the subject of an
-  // attribute record or forward edge, the ancestor of a reverse row). A
+  // (Insert, an inserting InsertUnique or InsertCopy, a removing
+  // DeleteRange) bumps the bucket of each pnode that *keys* a touched row
+  // (the subject of an attribute record or forward edge, the ancestor of a
+  // reverse row). A
   // per-node result cached from this database is stale iff the bucket of its
   // keying pnode moved, so the federated portal invalidates exactly the
   // entries whose range actually changed, and ingest elsewhere costs none.
@@ -128,21 +147,39 @@ class ProvDb {
     return it == range_mutations_.end() ? 0 : it->second;
   }
 
-  // The whole bucket-counter map. Frontier publication diffs a snapshot of
-  // this against the live map: a bucket whose counter moved holds at least
-  // one pnode whose rows changed, so the pnodes of dirty buckets are the
-  // shard's "new/changed pnode" frontier since the snapshot.
+  // The whole bucket-counter map (bench/harness.h sums it to tell whether
+  // anything was written between two queries).
   const std::map<uint64_t, uint64_t>& range_mutation_buckets() const {
     return range_mutations_;
   }
 
-  // Pnodes with at least one known version in [begin, end), ascending (same
-  // membership rule as AllPnodes, restricted to the range).
-  std::vector<core::PnodeId> PnodesInRange(core::PnodeId begin,
-                                           core::PnodeId end) const;
-
   // Latest TYPE attribute value of `pnode` ("" when untyped).
   std::string TypeOf(core::PnodeId pnode) const;
+
+  // ---- Row feed (standing-query plane) --------------------------------------
+  // Every row Insert or InsertUnique writes gets the next sequence number,
+  // and while at least one feed cursor is open the database keeps the rows
+  // from the oldest cursor on. A reader holds a cursor per database and
+  // reads the rows written since it (FeedSince); advancing every cursor
+  // past a row drops it. With no cursor open nothing is kept, so a database
+  // nobody subscribes to pays one counter increment per row. Deletions are
+  // not fed: rows only leave a database when their range moved elsewhere.
+  uint64_t feed_end() const { return feed_end_; }
+  // Open cursor `id` at `seq` (at least the oldest kept row, at most
+  // feed_end()).
+  void OpenFeed(uint64_t id, uint64_t seq);
+  // Move cursor `id` to `seq` and drop the rows every cursor has passed.
+  void AdvanceFeed(uint64_t id, uint64_t seq);
+  void CloseFeed(uint64_t id);
+  // The kept rows at sequence numbers [seq, feed_end()), oldest first.
+  // `seq` must not precede the oldest open cursor.
+  std::span<const FeedRow> FeedSince(uint64_t seq) const;
+  // Kept rows keyed by a pnode in [begin, end), and appending rows read
+  // from another database's feed: migration moves a range's unread rows
+  // with the range (see InsertCopy).
+  std::vector<FeedRow> FeedRowsInRange(core::PnodeId begin,
+                                       core::PnodeId end) const;
+  void AppendFeed(const std::vector<FeedRow>& rows);
 
   // ---- Content fingerprints (audit plane) ----------------------------------
   // Order-independent content hash of [begin, end): the XOR fold of the MD5
@@ -172,15 +209,22 @@ class ProvDb {
   static Result<ProvDb> Deserialize(std::string_view image);
 
  private:
-  // Shared row paths. Insert writes an attribute row's store frames itself;
+  // Shared row paths. WriteAttr writes an attribute row's store frames;
   // WriteEdge writes the requested halves of an INPUT edge (the forward 'i/'
-  // row keyed by the subject, the reverse 'o/' row keyed by the ancestor)
-  // and bumps their keying buckets. Both then call the kind's Mirror* path,
-  // which keeps the mirror and its bookkeeping (versions_, names_, by_name_,
-  // by_type_, the row counts). Deserialize calls only the Mirror* paths, so
-  // a restore writes no store frame and moves no fingerprint.
+  // row keyed by the subject, the reverse 'o/' row keyed by the ancestor).
+  // Both bump the keying buckets, append to the feed when `feed` is set, and
+  // then call the kind's Mirror* path, which keeps the mirror and its
+  // bookkeeping (versions_, names_, by_name_, by_type_, the row counts).
+  // Deserialize calls only the Mirror* paths, so a restore writes no store
+  // frame, moves no fingerprint and feeds nothing.
+  void WriteAttr(const core::ObjectRef& subject, const core::Record& record,
+                 bool feed);
   void WriteEdge(const core::ObjectRef& subject,
-                 const core::ObjectRef& ancestor, bool forward, bool reverse);
+                 const core::ObjectRef& ancestor, bool forward, bool reverse,
+                 bool feed);
+  bool InsertMissing(const lasagna::LogEntry& entry, bool feed);
+  void Feed(FeedRow::Kind kind, const core::ObjectRef& key,
+            const core::ObjectRef& other);
   void MirrorAttr(const core::ObjectRef& subject, core::Record record);
   void MirrorEdge(const core::ObjectRef& subject,
                   const core::ObjectRef& ancestor, bool forward, bool reverse);
@@ -204,6 +248,10 @@ class ProvDb {
   // bucket id (pnode >> kRangeBucketBits) -> mutations touching rows keyed
   // by a pnode in that bucket.
   std::map<uint64_t, uint64_t> range_mutations_;
+  // Row feed: feed_[i] carries sequence number feed_end_ - feed_.size() + i.
+  std::vector<FeedRow> feed_;
+  uint64_t feed_end_ = 0;
+  std::map<uint64_t, uint64_t> feed_cursors_;  // cursor id -> sequence
 };
 
 }  // namespace pass::waldo

@@ -81,6 +81,39 @@ TEST(AuditTest, CleanClusterSealsAndAuditsClean) {
   EXPECT_EQ(challenges.challenges, 20u);
 }
 
+// The auditor charges MD5 verification at the rate the cluster's volumes
+// were built with: at 4.0 ns/byte the same bytes cost twice the sim time
+// they cost at 2.0 ns/byte. A 0.0 ns/byte cluster measures what the audit
+// spends besides hashing, the same in all three.
+TEST(AuditTest, HashingChargedAtTheVolumesMd5Rate) {
+  struct Audited {
+    uint64_t bytes_hashed = 0;
+    sim::Nanos elapsed = 0;
+  };
+  auto audit_at = [](double ns_per_byte) {
+    ClusterOptions options = SmallCluster(2);
+    options.lasagna_options.md5_ns_per_byte = ns_per_byte;
+    ClusterCoordinator cluster(options);
+    BuildAuditedCluster(&cluster);
+    Auditor auditor(&cluster, /*seed=*/7);
+    EXPECT_TRUE(auditor.Seal().clean());
+    sim::Nanos start = cluster.env().clock().now();
+    AuditReport report = auditor.AuditAll();
+    EXPECT_TRUE(report.clean());
+    return Audited{report.bytes_hashed, cluster.env().clock().now() - start};
+  };
+  Audited free = audit_at(0.0);
+  Audited base = audit_at(2.0);
+  Audited doubled = audit_at(4.0);
+  ASSERT_GT(base.bytes_hashed, 0u);
+  EXPECT_EQ(free.bytes_hashed, base.bytes_hashed);
+  EXPECT_EQ(doubled.bytes_hashed, base.bytes_hashed);
+  sim::Nanos base_charge = base.elapsed - free.elapsed;
+  EXPECT_EQ(base_charge,
+            static_cast<sim::Nanos>(2 * base.bytes_hashed));
+  EXPECT_EQ(doubled.elapsed - free.elapsed, 2 * base_charge);
+}
+
 TEST(AuditTest, EnumerationCoversEveryTamperKind) {
   ClusterCoordinator cluster(SmallCluster(2));
   BuildAuditedCluster(&cluster);

@@ -12,6 +12,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/standing.h"
+#include "src/os/kernel.h"
 #include "src/pql/eval.h"
 #include "src/workloads/audit_stream.h"
 
@@ -67,6 +68,44 @@ std::set<std::string> StandingAnswer(const StandingQueryTier& tier,
   auto result = tier.ResultOf(id);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? RowSet(*result) : std::set<std::string>{};
+}
+
+// Hand-built lineage on one shard's machine: a process named `name` reads
+// each of `reads`, then writes `write` (nothing when empty).
+void RunProcess(ClusterCoordinator* cluster, int shard, const std::string& name,
+                const std::vector<std::string>& reads,
+                const std::string& write) {
+  os::Kernel& kernel = cluster->machine(shard).kernel();
+  os::Pid pid = kernel.Spawn(name);
+  for (const std::string& path : reads) {
+    auto fd = kernel.Open(pid, path, os::kOpenRead);
+    ASSERT_TRUE(fd.ok()) << path;
+    std::string data;
+    ASSERT_TRUE(kernel.Read(pid, *fd, 64, &data).ok());
+    ASSERT_TRUE(kernel.Close(pid, *fd).ok());
+  }
+  if (!write.empty()) {
+    auto fd = kernel.Open(pid, write, os::kOpenWrite | os::kOpenCreate);
+    ASSERT_TRUE(fd.ok()) << write;
+    ASSERT_TRUE(kernel.Write(pid, *fd, name).ok());
+    ASSERT_TRUE(kernel.Close(pid, *fd).ok());
+  }
+}
+
+// Disclose `records` about `path` on `shard` through the DPAPI, from a
+// fresh process named `name`.
+void Disclose(ClusterCoordinator* cluster, int shard, const std::string& name,
+              const std::string& path,
+              const std::vector<core::Record>& records) {
+  workloads::Machine& machine = cluster->machine(shard);
+  os::Pid pid = machine.kernel().Spawn(name);
+  auto ref = machine.pass()->RefOfPath(path);
+  ASSERT_TRUE(ref.ok()) << path;
+  ASSERT_TRUE(machine.pass()->DiscloseRecords(pid, *ref, records).ok());
+}
+
+core::Record Taint() {
+  return core::Record::Annotation("taint", static_cast<int64_t>(1));
 }
 
 TEST(StandingQueryTest, IncrementalMatchesFullEvalEachRound) {
@@ -355,6 +394,305 @@ TEST(StandingQueryTest, CrashDuringIngestRecoversConsistently) {
         FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()))
         << "point " << point;
   }
+}
+
+// ---- Extension: the cases the semi-naive path must not get wrong -----------
+//
+// Each test compares every registered query with a from-scratch evaluation
+// after every Refresh().
+
+void ExpectFresh(ClusterCoordinator* cluster, const StandingQueryTier& tier,
+                 const std::vector<uint64_t>& ids,
+                 const std::vector<std::string>& texts,
+                 const std::string& when) {
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(StandingAnswer(tier, ids[i]), FullAnswer(cluster, texts[i]))
+        << texts[i] << " " << when;
+  }
+}
+
+std::vector<uint64_t> RegisterAll(StandingQueryTier* tier,
+                                  const std::vector<std::string>& texts) {
+  std::vector<uint64_t> ids;
+  for (const std::string& text : texts) {
+    auto id = tier->Register(text);
+    EXPECT_TRUE(id.ok()) << text;
+    ids.push_back(id.ok() ? *id : 0);
+  }
+  return ids;
+}
+
+// An existing file annotated taint = 1 through the DPAPI after it already
+// has descendants. The annotation freezes the file into a new version and
+// adds no edge any old process reaches, but AttributeMany reads every
+// version of a pnode, so the whole closure downstream of the old version
+// joins the ancestry watchlist: the processes reaching the file are
+// replaced, not extended.
+TEST(StandingExtensionTest, AnnotatedFileBringsItsWholeClosure) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  RunProcess(&cluster, 0, "writer", {}, "/a");
+  RunProcess(&cluster, 0, "p1", {"/a"}, "/b");
+  RunProcess(&cluster, 0, "p2", {"/b"}, "/c");
+  RunProcess(&cluster, 1, "bystander", {}, "/z");
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      AuditStreamGenerator::TaintAncestryQuery(),
+      AuditStreamGenerator::TaintDescendantQuery()};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  EXPECT_TRUE(*tier.IsExtensible(ids[0]));
+  EXPECT_TRUE(*tier.IsExtensible(ids[1]));
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "before the annotation");
+  EXPECT_TRUE(StandingAnswer(tier, ids[0]).empty());
+
+  Disclose(&cluster, 0, "annotator", "/a", {Taint()});
+  ASSERT_TRUE(cluster.Sync().ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the annotation");
+  EXPECT_EQ(StandingAnswer(tier, ids[0]),
+            (std::set<std::string>{"p1|", "p2|"}));
+}
+
+// A root pnode that gets a new version. A disclosed INPUT row names a later
+// version of a tainted file, so the file's root binding moves to that
+// version, whose descendants hold none of the old version's readers. The
+// version arrives through an edge row alone, with no attribute row, so the
+// identity rule is what replaces the root and drops its old rows.
+TEST(StandingExtensionTest, ReversionedRootDropsItsOldRows) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  RunProcess(&cluster, 1, "seeder", {}, "/t");
+  Disclose(&cluster, 1, "annotator", "/t", {Taint()});
+  RunProcess(&cluster, 1, "reader", {"/t"}, "/r");
+  RunProcess(&cluster, 0, "writer", {}, "/o");
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      AuditStreamGenerator::TaintDescendantQuery()};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "before the new version");
+  EXPECT_EQ(StandingAnswer(tier, ids[0]), std::set<std::string>{"reader|"});
+
+  auto tainted = cluster.machine(1).pass()->RefOfPath("/t");
+  ASSERT_TRUE(tainted.ok());
+  core::ObjectRef later{tainted->pnode, tainted->version + 1};
+  Disclose(&cluster, 0, "discloser", "/o", {core::Record::Input(later)});
+  ASSERT_TRUE(cluster.Sync().ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the new version");
+  EXPECT_TRUE(StandingAnswer(tier, ids[0]).empty());
+}
+
+// An INPUT edge disclosed from an existing output to an existing file: the
+// new edge's head already has descendants (a reader on another shard, whose
+// read the output's own machine never saw, so the output is not frozen).
+// The extension must walk on from the head into that old closure.
+TEST(StandingExtensionTest, NewEdgeHeadBringsItsOldDescendants) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  RunProcess(&cluster, 0, "seeder", {}, "/t");
+  Disclose(&cluster, 0, "annotator", "/t", {Taint()});
+  RunProcess(&cluster, 0, "tainted", {"/t"}, "/e");
+  RunProcess(&cluster, 0, "writer", {}, "/o");
+  auto output = cluster.machine(0).pass()->RefOfPath("/o");
+  ASSERT_TRUE(output.ok());
+  RunProcess(&cluster, 1, "copier", {}, "/q");
+  Disclose(&cluster, 1, "linker", "/q", {core::Record::Input(*output)});
+  RunProcess(&cluster, 1, "downstream", {"/q"}, "/r");
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      AuditStreamGenerator::TaintDescendantQuery(),
+      AuditStreamGenerator::TaintAncestryQuery()};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "before the edge");
+  EXPECT_EQ(StandingAnswer(tier, ids[0]), std::set<std::string>{"tainted|"});
+
+  auto file = cluster.machine(0).pass()->RefOfPath("/e");
+  ASSERT_TRUE(file.ok());
+  Disclose(&cluster, 0, "discloser", "/o", {core::Record::Input(*file)});
+  ASSERT_TRUE(cluster.Sync().ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the edge");
+  EXPECT_EQ(StandingAnswer(tier, ids[0]),
+            (std::set<std::string>{"downstream|", "tainted|"}));
+}
+
+// `+` closures, in both directions, over the audit stream.
+TEST(StandingExtensionTest, PlusClosuresStayFresh) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  AuditStreamGenerator stream(&cluster, SmallStream());
+  ASSERT_TRUE(stream.SeedTaintSources().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      "select D.name from Provenance.file as T T.~input+ as D "
+      "where T.taint = 1 and D.type = \"PROC\"",
+      "select P.name from Provenance.process as P P.input+ as A "
+      "where A.taint = 1",
+      "select T, D from Provenance.file as T T.~input+ as D "
+      "where T.taint = 1"};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  for (uint64_t id : ids) {
+    EXPECT_TRUE(*tier.IsExtensible(id));
+  }
+  for (int round = 0; round < 5; ++round) {
+    ASSERT_TRUE(stream.StreamRound().ok());
+    ASSERT_TRUE(tier.Refresh().ok());
+    ExpectFresh(&cluster, tier, ids, texts,
+                "round " + std::to_string(round));
+  }
+  EXPECT_FALSE(StandingAnswer(tier, ids[0]).empty());
+}
+
+// A `not` in where keeps the query on the replace path.
+TEST(StandingExtensionTest, NotShapeStaysOnTheReplacePath) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  AuditStreamGenerator stream(&cluster, SmallStream());
+  ASSERT_TRUE(stream.SeedTaintSources().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      "select D.name from Provenance.file as T T.~input* as D "
+      "where T.taint = 1 and not (D.type = \"FILE\")"};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  EXPECT_TRUE(*tier.IsIncremental(ids[0]));
+  EXPECT_FALSE(*tier.IsExtensible(ids[0]));
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(stream.StreamRound().ok());
+    ASSERT_TRUE(tier.Refresh().ok());
+    ExpectFresh(&cluster, tier, ids, texts,
+                "round " + std::to_string(round));
+  }
+  EXPECT_FALSE(StandingAnswer(tier, ids[0]).empty());
+}
+
+// A migration moves rows without changing the logical graph. Its copy
+// writes to no feed, and the rows the source wrote since the last refresh
+// move with the range, so its new owner reports them; a migration alone
+// gives the tier nothing to read.
+TEST(StandingExtensionTest, MigrationCarriesUnreadRowsAndNothingElse) {
+  ClusterCoordinator cluster(SmallCluster(3));
+  AuditStreamGenerator stream(&cluster, SmallStream());
+  ASSERT_TRUE(stream.SeedTaintSources().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      AuditStreamGenerator::TaintDescendantQuery(),
+      AuditStreamGenerator::TaintAncestryQuery()};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(stream.StreamRound().ok());
+    ASSERT_TRUE(tier.Refresh().ok());
+  }
+
+  // Rows written before the migration, read after it.
+  ASSERT_TRUE(stream.StreamRound().ok());
+  core::PnodeRange range{core::ShardSpace(0).begin,
+                         cluster.machine(0).allocator().peek_next()};
+  ASSERT_TRUE(cluster.MigrateRange(range, 2).ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the migration");
+
+  StandingStats before = tier.stats();
+  ASSERT_TRUE(cluster.MigrateRange(range, 0).ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the migration back");
+  EXPECT_EQ(tier.stats().frontier_entries, before.frontier_entries);
+  EXPECT_EQ(tier.stats().rows_touched, before.rows_touched);
+}
+
+// A refresh that fails after one query merged new rows commits nothing:
+// those rows' notifications wait for the refresh that does commit, even
+// though that refresh's own merges find nothing new.
+TEST(StandingExtensionTest, FailedRefreshHoldsNotificationsUntilCommit) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  AuditStreamGenerator stream(&cluster, SmallStream());
+  ASSERT_TRUE(stream.SeedTaintSources().ok());
+
+  StandingQueryTier tier(&cluster);
+  auto healthy = tier.Register(AuditStreamGenerator::TaintDescendantQuery());
+  ASSERT_TRUE(healthy.ok());
+  std::set<std::string> notified;
+  auto collect = [&](const std::vector<StandingNotification>& notes) {
+    for (const StandingNotification& note : notes) {
+      std::string line;
+      for (const pql::Value& value : note.row) {
+        line += value.ToString() + "|";
+      }
+      EXPECT_TRUE(notified.insert(line).second) << "repeated: " << line;
+    }
+  };
+  ASSERT_TRUE(stream.StreamRound().ok());
+  auto first = tier.Refresh();
+  ASSERT_TRUE(first.ok());
+  collect(*first);
+
+  // Registered after `healthy`, so it runs second: its seed evaluation
+  // outgrows its limit after `healthy` merged the round.
+  pql::QueryOptions tiny;
+  tiny.limits.max_closure_nodes = 1;
+  auto bounded =
+      tier.Register(AuditStreamGenerator::TaintDescendantQuery(), tiny);
+  ASSERT_TRUE(bounded.ok());
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(stream.StreamRound().ok());
+  }
+  EXPECT_FALSE(tier.Refresh().ok());
+
+  ASSERT_TRUE(tier.Unregister(*bounded).ok());
+  auto committed = tier.Refresh();
+  ASSERT_TRUE(committed.ok());
+  collect(*committed);
+  EXPECT_EQ(
+      StandingAnswer(tier, *healthy),
+      FullAnswer(&cluster, AuditStreamGenerator::TaintDescendantQuery()));
+  EXPECT_EQ(notified, StandingAnswer(tier, *healthy));
+}
+
+// A long episode: the fig11 queries on 2 shards, 300 rounds. The tier stays
+// equal to a from-scratch evaluation, and the rows a Refresh touches follow
+// the round's delta, not the history behind it.
+TEST(StandingExtensionTest, LongEpisodeRowsFollowTheDelta) {
+  ClusterOptions options = SmallCluster(2);
+  options.seed = 17;
+  ClusterCoordinator cluster(options);
+  AuditStreamOptions stream_options = SmallStream();
+  stream_options.taint_fraction = 0.4;
+  stream_options.seed = 17;
+  AuditStreamGenerator stream(&cluster, stream_options);
+  ASSERT_TRUE(stream.SeedTaintSources().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      AuditStreamGenerator::TaintDescendantQuery(),
+      AuditStreamGenerator::TaintAncestryQuery(),
+      "select F.name from Provenance.file as F where F.taint = 1"};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  uint64_t early = 0;  // rows touched over rounds 26-75
+  uint64_t late = 0;   // ... and over rounds 251-300
+  for (int round = 1; round <= 300; ++round) {
+    ASSERT_TRUE(stream.StreamRound().ok());
+    uint64_t before = tier.stats().rows_touched;
+    ASSERT_TRUE(tier.Refresh().ok());
+    uint64_t touched = tier.stats().rows_touched - before;
+    if (round >= 26 && round <= 75) {
+      early += touched;
+    } else if (round >= 251) {
+      late += touched;
+    }
+    if (round % 100 == 0) {
+      ExpectFresh(&cluster, tier, ids, texts,
+                  "round " + std::to_string(round));
+    }
+  }
+  ASSERT_GT(early, 0u);
+  // Both windows are 50 rounds long, so the means compare as the sums do.
+  EXPECT_LE(late, 2 * early) << "early " << early << ", late " << late;
 }
 
 }  // namespace

@@ -44,6 +44,7 @@ case "$mode" in
       "fig10_audit 32 2"
       "fig10_audit 32 3"
       "fig11_standing"
+      "fig11_standing 6 29"
     )
     ;;
   asan)
