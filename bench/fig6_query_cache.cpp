@@ -35,9 +35,9 @@ using pass::cluster::FederatedSource;
 constexpr double kRpcReductionGate = 5.0;
 
 // Churn-phase gate: with steady ingest into a non-portal shard between query
-// rounds, per-entry fingerprint invalidation must cut cache misses at least
-// this factor below the whole-cache-flush baseline (the pre-fingerprint
-// behavior, which drops everything on any mutation and re-fetches the world).
+// rounds, per-pnode stamp invalidation must cut cache misses at least this
+// factor below the whole-cache-flush baseline (a cache without per-entry
+// stamps, which drops everything on any mutation and re-fetches the world).
 constexpr double kChurnMissReductionGate = 5.0;
 
 // Adapter hiding an underlying source's frontier batching: every batched
@@ -191,8 +191,8 @@ struct ChurnResult {
 // The churn phase: the chain lives on shards 0..shards-2, shard shards-1
 // only absorbs ingest (new provenance rows on one /churn file) between
 // query rounds.
-// Two identically warmed portals answer each round — one with per-entry
-// fingerprint invalidation, one a whole-cache-flush FlushBaseline — and the
+// Two identically warmed portals answer each round — one with per-pnode
+// stamp invalidation, one a whole-cache-flush FlushBaseline — and the
 // accumulated misses measure how much of the cache each keeps.
 ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
                           int rounds) {
@@ -226,9 +226,9 @@ ChurnResult RunChurnPhase(int shards, int depth, size_t cache_bytes,
 
   for (int round = 0; round < rounds; ++round) {
     // Steady foreign ingest: new (unique — ingest dedupes replays via
-    // InsertUnique) annotation rows onto /churn. Only /churn's fingerprint
-    // bucket moves; no cached chain pnode shares it, so the fine source's
-    // collateral is the handful of /churn entries, re-fetched once a round.
+    // InsertUnique) annotation rows onto /churn. Only /churn's stamp moves,
+    // so the fine source's collateral is the handful of /churn entries,
+    // re-fetched once a round.
     for (int w = 0; w < 4; ++w) {
       PASS_CHECK(churn_lib
                      .WriteRef(*churn_ref,

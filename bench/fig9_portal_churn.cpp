@@ -8,7 +8,7 @@
 // data) absorbs fresh provenance rows. Reported per cell: p50/p99 simulated
 // query latency, cache hit ratio, per-entry invalidations, and the miss
 // count of a whole-cache-flush baseline portal answering the same rounds —
-// the pre-fingerprint behavior. Gated: every session's answer equals the
+// a cache without per-pnode stamps. Gated: every session's answer equals the
 // merged database every round, and on churn cells with a real cache budget
 // the baseline pays at least kChurnMissReductionGate x the misses.
 //
@@ -46,7 +46,7 @@ using pass::cluster::PortalTier;
 using pass::cluster::PortalTierOptions;
 
 // On churn cells with the full cache budget, the whole-cache-flush baseline
-// must pay at least this factor more cache misses than the fingerprinted
+// must pay at least this factor more cache misses than the stamped
 // sessions.
 constexpr double kChurnMissReductionGate = 5.0;
 
@@ -140,7 +140,7 @@ struct CellResult {
                             static_cast<double>(total);
   }
   // The flush baseline is one portal; fine_misses sums the whole fleet.
-  // Compare per session: how many misses the average fingerprinted session
+  // Compare per session: how many misses the average stamped session
   // pays against the same cadence answered with whole-cache flushing.
   double miss_ratio() const {
     double per_session = static_cast<double>(fine_misses) /
@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
               "churn (%d-deep chain on %d shards, %d rounds)\n",
               kChainDepth, kShards, rounds);
   std::printf("(flush-miss = same rounds answered by a whole-cache-flush "
-              "portal — the pre-fingerprint baseline)\n\n");
+              "portal — a cache without per-pnode stamps)\n\n");
   std::printf("%8s %6s %9s | %9s %9s %7s %7s %7s | %10s %6s\n", "sessions",
               "churn", "cache-KB", "p50-us", "p99-us", "hit%", "inval",
               "evict", "flush-miss", "ratio");

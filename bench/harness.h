@@ -3,7 +3,7 @@
 
 // Helpers shared by the cluster figures: the equivalence check with a
 // non-empty guard, and the whole-cache-flush baseline portal that fig6 and
-// fig9 measure fingerprint invalidation against.
+// fig9 measure per-pnode stamp invalidation against.
 
 #include <cstdint>
 #include <string>
@@ -25,10 +25,10 @@ inline bool MatchesNonEmpty(cluster::ClusterCoordinator& cluster,
 
 // A portal (shard 0) that flushes its whole result cache whenever anything
 // in the cluster changed: before each query, if the ShardMap epoch or the
-// sum of every shard's range-mutation bucket counters
-// (ProvDb::range_mutation_buckets) moved since the previous query, the
-// source is replaced by a freshly constructed one. This is the cache a
-// portal without per-range fingerprints must run to never serve stale rows.
+// sum of every shard's change sequence (ProvDb::stamp) moved since the
+// previous query, the source is replaced by a freshly constructed one. This
+// is the cache a portal without per-pnode stamps must run to never serve
+// stale rows.
 // The replacement is built with the public constructor rather than
 // ClusterCoordinator::Source(), so it takes no extra Quiesce().
 class FlushBaseline {
@@ -72,14 +72,12 @@ class FlushBaseline {
   }
 
  private:
-  // Every row write or removal bumps some bucket, so the sum moves on
-  // every change to any shard.
+  // Every row write or removal moves its database's sequence, so the sum
+  // moves on every change to any shard.
   uint64_t Mutations() const {
     uint64_t sum = 0;
     for (const waldo::ProvDb* db : cluster_->shard_dbs()) {
-      for (const auto& [bucket, count] : db->range_mutation_buckets()) {
-        sum += count;
-      }
+      sum += db->stamp();
     }
     return sum;
   }

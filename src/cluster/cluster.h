@@ -260,7 +260,7 @@ class ClusterCoordinator {
   // Federated query source with the portal on `portal_shard`, wired to the
   // live ShardMap: sources created before a migration route correctly after
   // (and its portal result cache self-invalidates, entry by entry, when a
-  // range's fingerprint moves or its owner changes). `cache_bytes` bounds
+  // pnode's stamp moves or its owner changes). `cache_bytes` bounds
   // that cache; 0 disables it. Takes the Quiesce() barrier first, so the
   // portal never reads replica state whose transfer time has not elapsed.
   FederatedSource Source(

@@ -115,10 +115,10 @@ const FederatedSource::CacheEntry* FederatedSource::CacheLookup(
     return nullptr;
   }
   // The one staleness rule: the entry must come from the pnode's current
-  // owner, and the owner's rows in the entry's bucket must not have moved.
+  // owner, and no row keyed by the pnode may have changed there since.
   const CacheEntry& entry = it->second;
   if (entry.shard != owner ||
-      shards_[owner]->range_mutation_count(key.pnode) != entry.fingerprint) {
+      shards_[owner]->StampOf(key.pnode) != entry.stamp) {
     EraseEntry(it);
     ++stats_.cache_entries_invalidated;
     return nullptr;
@@ -131,7 +131,7 @@ const FederatedSource::CacheEntry* FederatedSource::CacheLookup(
 void FederatedSource::CacheInsert(CacheKey key, CacheEntry entry,
                                   int shard) const {
   entry.shard = shard;
-  entry.fingerprint = shards_[shard]->range_mutation_count(key.pnode);
+  entry.stamp = shards_[shard]->StampOf(key.pnode);
   entry.bytes = kPerNodeRequestBytes + sizeof(key.attr_id) +
                 kPerRowResponseBytes * entry.nodes.size() +
                 ValueSetBytes(entry.values);

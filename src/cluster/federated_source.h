@@ -21,15 +21,15 @@
 //   * A portal result cache: a byte-bounded LRU over per-node edge lists
 //     and attribute sets, so overlapping traversals fetch each node once.
 //     Each entry remembers the shard it was filled from and that shard's
-//     per-range mutation fingerprint (ProvDb::range_mutation_count over
-//     power-of-two pnode buckets). One rule decides staleness, on lookup: an
-//     entry is served only if its shard is still the pnode's owner under the
-//     map and that shard's fingerprint is unchanged; otherwise it is
-//     dropped. A node's answer is read only from its owner's rows keyed by
-//     that pnode, so a served entry equals a fresh read after any migration,
-//     migrate-back, deferred delete or Recover() rebuild of the map. Ingest
-//     into shard 3 does not evict entries homed on shard 0, and a migration
-//     drops only the entries whose owner changed.
+//     change stamp for the entry's pnode (ProvDb::StampOf). One rule decides
+//     staleness, on lookup: an entry is served only if its shard is still
+//     the pnode's owner under the map and the pnode's stamp there is
+//     unchanged; otherwise it is dropped. A node's answer is read only from
+//     its owner's rows keyed by that pnode, so a served entry equals a fresh
+//     read after any migration, migrate-back, deferred delete or Recover()
+//     rebuild of the map. Ingest keyed by other pnodes, on shard 3 or right
+//     beside a cached pnode, evicts nothing, and a migration drops only the
+//     entries whose owner changed.
 //
 // Provided the cross-shard ingest queue has replicated foreign-subject
 // records and foreign-ancestor edges (see src/cluster/ingest.h), a query
@@ -65,7 +65,7 @@ struct FederatedStats {
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   // Entries a lookup found stale and dropped: their pnode changed owner or
-  // their range's fingerprint moved on the owner.
+  // its stamp moved on the owner.
   uint64_t cache_entries_invalidated = 0;
 };
 
@@ -126,11 +126,11 @@ class FederatedSource : public pql::GraphSource {
     pql::ValueSet values;
     uint64_t bytes = 0;
     // Provenance of the entry itself: the shard it was fetched from and
-    // that shard's range fingerprint at fill time. A lookup compares the
-    // shard with the pnode's current owner and re-reads the fingerprint —
-    // cheap, allocation-free, and local to the entry's own pnode bucket.
+    // the pnode's stamp there at fill time. A lookup compares the shard
+    // with the pnode's current owner and re-reads the stamp — cheap,
+    // allocation-free, and local to the entry's own pnode.
     int shard = 0;
-    uint64_t fingerprint = 0;
+    uint64_t stamp = 0;
     std::list<CacheKey>::iterator lru;
   };
 
@@ -154,8 +154,8 @@ class FederatedSource : public pql::GraphSource {
   // first time a name is seen, never on a probe.
   uint32_t InternAttr(const std::string& attr) const;
   // The cached entry for `key` if it was filled from `owner` (the pnode's
-  // current owner under the map) and `owner`'s fingerprint for the pnode's
-  // bucket has not moved since; otherwise drops any entry and returns null.
+  // current owner under the map) and the pnode's stamp on `owner` has not
+  // moved since; otherwise drops any entry and returns null.
   const CacheEntry* CacheLookup(const CacheKey& key, int owner) const;
   void CacheInsert(CacheKey key, CacheEntry entry, int shard) const;
   void EraseEntry(std::map<CacheKey, CacheEntry>::iterator it) const;

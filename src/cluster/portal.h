@@ -19,9 +19,9 @@
 //     the old pin, and lets deferred retirements run. Pinning freezes
 //     routing, not time: for ranges whose owner is unchanged since the
 //     pin, new data still reaches the session (its cache checks each
-//     entry's owner and per-range fingerprint against the live shard
-//     databases like any portal). Ingest into a range migrated *after* the
-//     pin, however, lands on the new owner while the session keeps reading
+//     entry's owner and per-pnode stamp against the live shard databases
+//     like any portal). Ingest into a range migrated *after* the pin,
+//     however, lands on the new owner while the session keeps reading
 //     the deferred source copy — so session == merged database holds only
 //     absent ingest into ranges migrated while the pin is held; RePin()
 //     catches the session up.
@@ -92,7 +92,7 @@ class PortalSession {
   // any migration retirements the old pin blocked. The cache survives: the
   // source checks each entry against its owner under the new snapshot when
   // it is next probed, so only entries whose pnode changed owner (or whose
-  // range's fingerprint moved) drop; the rest stay warm.
+  // pnode's stamp moved) drop; the rest stay warm.
   void RePin();
 
   uint64_t id() const { return id_; }

@@ -32,7 +32,8 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
       WriteEdge(subject, *ancestor, /*forward=*/true, /*reverse=*/true,
                 /*feed=*/true);
     } else {
-      versions_[subject.pnode].insert(subject.version);  // no edge to store
+      // No edge to store: the subject version is only made known.
+      pnodes_[subject.pnode].versions.insert(subject.version);
     }
     return;
   }
@@ -41,7 +42,6 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
 
 void ProvDb::WriteAttr(const core::ObjectRef& subject,
                        const core::Record& record, bool feed) {
-  ++range_mutations_[RangeBucketOf(subject.pnode)];
   if (feed) {
     Feed(FeedRow::Kind::kAttr, subject, {});
   }
@@ -62,14 +62,12 @@ void ProvDb::WriteEdge(const core::ObjectRef& subject,
                        const core::ObjectRef& ancestor, bool forward,
                        bool reverse, bool feed) {
   if (forward) {
-    ++range_mutations_[RangeBucketOf(subject.pnode)];
     if (feed) {
       Feed(FeedRow::Kind::kForward, subject, ancestor);
     }
     indexes_.Put(RefKey('i', subject), EncodeRef(ancestor));
   }
   if (reverse) {
-    ++range_mutations_[RangeBucketOf(ancestor.pnode)];
     if (feed) {
       Feed(FeedRow::Kind::kReverse, ancestor, subject);
     }
@@ -136,7 +134,9 @@ void ProvDb::AppendFeed(const std::vector<FeedRow>& rows) {
 }
 
 void ProvDb::MirrorAttr(const core::ObjectRef& subject, core::Record record) {
-  versions_[subject.pnode].insert(subject.version);
+  PnodeEntry& entry = pnodes_[subject.pnode];
+  entry.versions.insert(subject.version);
+  entry.stamp = ++stamp_;
   if (const auto* text = std::get_if<std::string>(&record.value)) {
     if (record.attr == core::Attr::kName) {
       by_name_[*text].insert(subject.pnode);
@@ -152,14 +152,18 @@ void ProvDb::MirrorAttr(const core::ObjectRef& subject, core::Record record) {
 void ProvDb::MirrorEdge(const core::ObjectRef& subject,
                         const core::ObjectRef& ancestor, bool forward,
                         bool reverse) {
-  versions_[subject.pnode].insert(subject.version);
-  versions_[ancestor.pnode].insert(ancestor.version);
+  PnodeEntry& subject_entry = pnodes_[subject.pnode];
+  subject_entry.versions.insert(subject.version);
+  PnodeEntry& ancestor_entry = pnodes_[ancestor.pnode];
+  ancestor_entry.versions.insert(ancestor.version);
   if (forward) {
     inputs_[subject].push_back(ancestor);
     ++edge_count_;  // edge_count_ counts forward rows
+    subject_entry.stamp = ++stamp_;
   }
   if (reverse) {
     outputs_[ancestor].push_back(subject);
+    ancestor_entry.stamp = ++stamp_;
   }
 }
 
@@ -220,19 +224,20 @@ std::vector<std::vector<core::Record>> ProvDb::RecordsOfAllVersionsMany(
 }
 
 std::vector<core::Version> ProvDb::VersionsOf(core::PnodeId pnode) const {
-  auto it = versions_.find(pnode);
-  if (it == versions_.end()) {
+  auto it = pnodes_.find(pnode);
+  if (it == pnodes_.end()) {
     return {};
   }
-  return std::vector<core::Version>(it->second.begin(), it->second.end());
+  const std::set<core::Version>& versions = it->second.versions;
+  return std::vector<core::Version>(versions.begin(), versions.end());
 }
 
 core::Version ProvDb::LatestVersionOf(core::PnodeId pnode) const {
-  auto it = versions_.find(pnode);
-  if (it == versions_.end() || it->second.empty()) {
+  auto it = pnodes_.find(pnode);
+  if (it == pnodes_.end() || it->second.versions.empty()) {
     return 0;
   }
-  return *it->second.rbegin();
+  return *it->second.versions.rbegin();
 }
 
 std::vector<core::PnodeId> ProvDb::PnodesByName(std::string_view name) const {
@@ -258,8 +263,8 @@ std::string ProvDb::NameOf(core::PnodeId pnode) const {
 
 std::vector<core::PnodeId> ProvDb::AllPnodes() const {
   std::vector<core::PnodeId> out;
-  out.reserve(versions_.size());
-  for (const auto& [pnode, unused] : versions_) {
+  out.reserve(pnodes_.size());
+  for (const auto& [pnode, unused] : pnodes_) {
     out.push_back(pnode);
   }
   return out;
@@ -377,9 +382,6 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
   // need rewriting below.
   std::set<std::string> touched_names;
   std::set<std::string> touched_types;
-  // Buckets whose keyed rows this delete removes; bumped once each below so
-  // per-range fingerprints move only where rows actually vanished.
-  std::set<uint64_t> touched_buckets;
   for (auto it = attrs_.lower_bound(lo);
        it != attrs_.end() && it->first.pnode < end;) {
     for (const core::Record& record : it->second) {
@@ -394,7 +396,6 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
     records_.Delete(RefKey('r', it->first));
     removed += it->second.size();
     record_count_ -= it->second.size();
-    touched_buckets.insert(RangeBucketOf(it->first.pnode));
     it = attrs_.erase(it);
   }
   // edge_count_ tracks forward rows only; the paired reverse row of a fully
@@ -404,17 +405,17 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
     indexes_.Delete(RefKey('i', it->first));
     removed += it->second.size();
     edge_count_ -= it->second.size();
-    touched_buckets.insert(RangeBucketOf(it->first.pnode));
     it = inputs_.erase(it);
   }
   for (auto it = outputs_.lower_bound(lo);
        it != outputs_.end() && it->first.pnode < end;) {
     indexes_.Delete(RefKey('o', it->first));
     removed += it->second.size();
-    touched_buckets.insert(RangeBucketOf(it->first.pnode));
     it = outputs_.erase(it);
   }
-  versions_.erase(versions_.lower_bound(begin), versions_.upper_bound(end - 1));
+  // Erasing the range's entries forgets their stamps, so a removed pnode's
+  // stamp reads 0 again.
+  pnodes_.erase(pnodes_.lower_bound(begin), pnodes_.upper_bound(end - 1));
   names_.erase(names_.lower_bound(begin), names_.upper_bound(end - 1));
 
   // Secondary name/type indexes: drop in-range pnodes from the touched keys
@@ -441,9 +442,7 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
   prune(by_name_, 'n', touched_names);
   prune(by_type_, 't', touched_types);
   if (removed > 0) {
-    for (uint64_t bucket : touched_buckets) {
-      ++range_mutations_[bucket];
-    }
+    ++stamp_;
   }
   return removed;
 }
@@ -465,8 +464,8 @@ uint64_t ProvDb::RowsInRange(core::PnodeId begin, core::PnodeId end) const {
 std::vector<std::pair<core::PnodeId, uint64_t>> ProvDb::PnodeRowsInRange(
     core::PnodeId begin, core::PnodeId end) const {
   std::map<core::PnodeId, uint64_t> weights;
-  for (auto it = versions_.lower_bound(begin);
-       it != versions_.end() && it->first < end; ++it) {
+  for (auto it = pnodes_.lower_bound(begin);
+       it != pnodes_.end() && it->first < end; ++it) {
     weights[it->first];  // present even when the pnode has no subject rows
   }
   const core::ObjectRef lo{begin, 0};
@@ -571,7 +570,7 @@ ProvDbStats ProvDb::stats() const {
   ProvDbStats stats;
   stats.records = record_count_;
   stats.edges = edge_count_;
-  stats.objects = versions_.size();
+  stats.objects = pnodes_.size();
   stats.db_bytes = records_.stats().bytes;
   stats.index_bytes = indexes_.stats().bytes;
   return stats;

@@ -125,33 +125,28 @@ class ProvDb {
   uint64_t RecordCount() const { return record_count_; }
   uint64_t EdgeCount() const { return edge_count_; }
 
-  // ---- Per-range mutation fingerprints -------------------------------------
-  // The pnode space is carved into power-of-two buckets of
-  // 2^kRangeBucketBits pnodes, and every call that writes or removes rows
-  // (Insert, an inserting InsertUnique or InsertCopy, a removing
-  // DeleteRange) bumps the bucket of each pnode that *keys* a touched row
-  // (the subject of an attribute record or forward edge, the ancestor of a
-  // reverse row). A
-  // per-node result cached from this database is stale iff the bucket of its
-  // keying pnode moved, so the federated portal invalidates exactly the
-  // entries whose range actually changed, and ingest elsewhere costs none.
-  static constexpr int kRangeBucketBits = 6;  // 64 pnodes per bucket
-
-  static constexpr uint64_t RangeBucketOf(core::PnodeId pnode) {
-    return pnode >> kRangeBucketBits;
+  // ---- Per-pnode change stamps ----------------------------------------------
+  // Every mirror row written (by Insert, an inserting InsertUnique or
+  // InsertCopy, or Deserialize's replay) takes the next number of one
+  // database-wide sequence, and the pnode that *keys* the row (the subject
+  // of an attribute record or forward edge, the ancestor of a reverse row)
+  // keeps that number as its stamp. A DeleteRange that removes rows moves
+  // the sequence once and forgets the range's stamps. Numbers never repeat,
+  // so a per-node result read here while its pnode's stamp was s is current
+  // while the stamp still reads s: for s > 0 no row keyed by the pnode
+  // changed since, and 0 means the pnode keys no row here, then and now.
+  // The federated portal thus drops exactly the entries whose pnode
+  // changed; ingest keyed by other pnodes, neighbours included, costs none.
+  //
+  // Stamp of `pnode` (0 when no row here is keyed by it).
+  uint64_t StampOf(core::PnodeId pnode) const {
+    auto it = pnodes_.find(pnode);
+    return it == pnodes_.end() ? 0 : it->second.stamp;
   }
-
-  // Mutation counter of the bucket holding `pnode` (0 = never touched).
-  uint64_t range_mutation_count(core::PnodeId pnode) const {
-    auto it = range_mutations_.find(RangeBucketOf(pnode));
-    return it == range_mutations_.end() ? 0 : it->second;
-  }
-
-  // The whole bucket-counter map (bench/harness.h sums it to tell whether
-  // anything was written between two queries).
-  const std::map<uint64_t, uint64_t>& range_mutation_buckets() const {
-    return range_mutations_;
-  }
+  // The end of the sequence: it moves on every row written or removed
+  // (bench/harness.h sums it to tell whether anything changed between two
+  // queries).
+  uint64_t stamp() const { return stamp_; }
 
   // Latest TYPE attribute value of `pnode` ("" when untyped).
   std::string TypeOf(core::PnodeId pnode) const;
@@ -212,11 +207,11 @@ class ProvDb {
   // Shared row paths. WriteAttr writes an attribute row's store frames;
   // WriteEdge writes the requested halves of an INPUT edge (the forward 'i/'
   // row keyed by the subject, the reverse 'o/' row keyed by the ancestor).
-  // Both bump the keying buckets, append to the feed when `feed` is set, and
-  // then call the kind's Mirror* path, which keeps the mirror and its
-  // bookkeeping (versions_, names_, by_name_, by_type_, the row counts).
+  // Both append to the feed when `feed` is set, and then call the kind's
+  // Mirror* path, which keeps the mirror and its bookkeeping (pnodes_ with
+  // the keying stamps, names_, by_name_, by_type_, the row counts).
   // Deserialize calls only the Mirror* paths, so a restore writes no store
-  // frame, moves no fingerprint and feeds nothing.
+  // frame and feeds nothing.
   void WriteAttr(const core::ObjectRef& subject, const core::Record& record,
                  bool feed);
   void WriteEdge(const core::ObjectRef& subject,
@@ -239,15 +234,18 @@ class ProvDb {
   std::map<core::ObjectRef, std::vector<core::Record>> attrs_;
   std::map<core::ObjectRef, std::vector<core::ObjectRef>> inputs_;
   std::map<core::ObjectRef, std::vector<core::ObjectRef>> outputs_;
-  std::map<core::PnodeId, std::set<core::Version>> versions_;
+  // Every pnode a row here names: its known versions and its stamp.
+  struct PnodeEntry {
+    std::set<core::Version> versions;
+    uint64_t stamp = 0;  // 0 while no row here is keyed by the pnode
+  };
+  std::map<core::PnodeId, PnodeEntry> pnodes_;
   std::map<std::string, std::set<core::PnodeId>> by_name_;
   std::map<std::string, std::set<core::PnodeId>> by_type_;
   std::map<core::PnodeId, std::string> names_;
   uint64_t record_count_ = 0;
   uint64_t edge_count_ = 0;
-  // bucket id (pnode >> kRangeBucketBits) -> mutations touching rows keyed
-  // by a pnode in that bucket.
-  std::map<uint64_t, uint64_t> range_mutations_;
+  uint64_t stamp_ = 0;  // the sequence's last number
   // Row feed: feed_[i] carries sequence number feed_end_ - feed_.size() + i.
   std::vector<FeedRow> feed_;
   uint64_t feed_end_ = 0;

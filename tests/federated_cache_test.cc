@@ -1,15 +1,16 @@
 // Tests for the federated query portal: frontier-shipped RPCs and the
 // byte-bounded portal result cache, including its invalidation contract —
-// every cached entry carries the shard it was filled from and that shard's
-// per-range mutation fingerprint, and a lookup serves it only while that
-// shard still owns the pnode and the fingerprint is unchanged, so the portal
-// never serves stale ownership or stale data while churn elsewhere leaves
-// entries warm.
+// every cached entry carries the shard it was filled from and the pnode's
+// change stamp there (ProvDb::StampOf), and a lookup serves it only while
+// that shard still owns the pnode and the stamp is unchanged, so the portal
+// never serves stale ownership or stale data while churn keyed by other
+// pnodes, even its neighbours, leaves entries warm.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,81 @@ TEST(FederatedCacheTest, RolledBackMigrationEntriesAreNotServed) {
   EXPECT_EQ(after, *MergedRows(cluster, kTailClosure));
 }
 
+const char kExtendedClosure[] =
+    "select Ancestor from Provenance.file as F F.input* as Ancestor "
+    "where F.name = \"/f17\"";
+
+// The two operations the crash sweep below interrupts.
+enum class CrashOp {
+  kSync,     // the Sync that ingests the chain's extension to /f17
+  kMigrate,  // MigrateRange([/f5, /f9 + 1) -> shard 3) after that Sync
+};
+
+// Runs `op` on a fresh 4-shard cluster whose 12-file chain is synced and
+// read by a warm portal-0 source, then extended to /f17. With `point` set,
+// `op` crashes at that crash point; the same source then answers a query
+// inside the crash window, and after Recover() and Sync() it must answer
+// the /f11 and /f17 closures equal to the merged database. Returns the
+// crash points `op` passed.
+uint64_t RunThroughCrash(CrashOp op, std::optional<uint64_t> point) {
+  ClusterCoordinator cluster(SmallCluster(4));
+  auto refs = BuildCrossShardChain(&cluster, 12);
+  EXPECT_TRUE(cluster.Sync().ok());
+  FederatedSource source = cluster.Source(/*portal_shard=*/0);
+  EXPECT_TRUE(pql::Engine(&source).Run(kTailClosure).ok());
+  for (int i = 12; i < 18; ++i) {
+    auto ref = cluster.WriteWithLineage(i % 4, "/f" + std::to_string(i),
+                                        "payload", {refs.back()});
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    refs.push_back(*ref);
+  }
+  if (op == CrashOp::kMigrate) {
+    EXPECT_TRUE(cluster.Sync().ok());
+  }
+
+  uint64_t before = cluster.env().crash_points_passed();
+  if (point.has_value()) {
+    cluster.env().CrashAfterOps(*point);
+  }
+  Status status =
+      op == CrashOp::kSync
+          ? cluster.Sync()
+          : cluster.MigrateRange({refs[5].pnode, refs[9].pnode + 1}, 3)
+                .status();
+  uint64_t passed = cluster.env().crash_points_passed() - before;
+  if (!point.has_value()) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return passed;
+  }
+  EXPECT_FALSE(status.ok()) << "point " << *point;
+  // The crash window: entries filled now read whatever the shards hold.
+  EXPECT_TRUE(pql::Engine(&source).Run(kExtendedClosure).ok());
+  auto report = cluster.Recover();
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(cluster.Sync().ok());
+  for (const char* query : {kTailClosure, kExtendedClosure}) {
+    EXPECT_EQ(pql::Engine(&source).Run(query)->SortedRows(),
+              *MergedRows(cluster, query))
+        << "point " << *point << ": " << query;
+  }
+  return passed;
+}
+
+// A live source keeps its cache across a crash window and Recover(): entries
+// filled from a half-ingested shard, a migration destination holding part of
+// the range, or an owner the repair rolls back must all fail the owner or
+// stamp check once the repair rewrites what they read. Every crash point of
+// both operations.
+TEST(FederatedCacheTest, LiveSourceStaysCorrectAcrossEveryCrashPoint) {
+  for (CrashOp op : {CrashOp::kSync, CrashOp::kMigrate}) {
+    uint64_t points = RunThroughCrash(op, std::nullopt);
+    ASSERT_GT(points, 2u);
+    for (uint64_t point = 0; point < points; ++point) {
+      RunThroughCrash(op, point);
+    }
+  }
+}
+
 TEST(FederatedCacheTest, IngestInvalidatesStaleEdgeLists) {
   ClusterCoordinator cluster(SmallCluster(2));
   auto a = cluster.WriteWithLineage(0, "/a", "aaa", {});
@@ -251,15 +327,15 @@ TEST(FederatedCacheTest, ZeroBudgetDisablesCaching) {
   EXPECT_EQ(source.cache_bytes_used(), 0u);
 }
 
-// Tentpole acceptance: ingest that only touches a foreign shard must leave
-// the portal's warm entries alone — the fingerprint check is per entry, so
-// unrelated churn costs nothing. A cache without fingerprints would have to
-// start over after the same churn, which is what a freshly built source does
-// (the whole-cache-flush baseline fig6 and fig9 measure against).
+// Ingest that only touches a foreign shard must leave the portal's warm
+// entries alone — the stamp check is per entry, so unrelated churn costs
+// nothing. A cache without stamps would have to start over after the same
+// churn, which is what a freshly built source does (the whole-cache-flush
+// baseline fig6 and fig9 measure against).
 TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   ClusterCoordinator cluster(SmallCluster(4));
-  // Chain over shards 0-2 only: shard 3 is pure churn, so no cached pnode
-  // shares a fingerprint bucket with the churn writes.
+  // Chain over shards 0-2 only: shard 3 is pure churn, so no row keyed by a
+  // cached pnode changes.
   BuildCrossShardChain(&cluster, 12, /*spread=*/3);
   ASSERT_TRUE(cluster.Sync().ok());
 
@@ -268,7 +344,7 @@ TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   EXPECT_EQ(before, *MergedRows(cluster, kTailClosure));
 
   // Churn: new lineage-free files on shard 3 only. The chain's pnodes and
-  // rows are untouched; only shard 3 buckets outside the chain move.
+  // rows are untouched; only the stamps of pnodes homed on shard 3 move.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
         cluster.WriteWithLineage(3, "/churn" + std::to_string(i), "x", {})
@@ -288,9 +364,47 @@ TEST(FederatedCacheTest, ForeignShardIngestKeepsWarmEntries) {
   EXPECT_LT(fine.stats().cache_misses, fresh.stats().cache_misses);
 }
 
+// Ingest keyed by a pnode right beside the cached ones must leave their
+// entries warm too. Pnodes are allocated in sequence, so a new file lands
+// next to the ones a query has just read; the stamp is per pnode, so only
+// the entries of the pnodes keying the new rows drop.
+TEST(FederatedCacheTest, NeighbourIngestKeepsWarmEntries) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  auto refs = BuildCrossShardChain(&cluster, 6, /*spread=*/1);
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  const std::string closure =
+      "select Ancestor from Provenance.file as F F.input* as Ancestor "
+      "where F.name = \"/f5\"";
+  // Portal on shard 1: every chain file is a remote lookup it caches.
+  FederatedSource source = cluster.Source(/*portal_shard=*/1);
+  ASSERT_EQ(pql::Engine(&source).Run(closure)->SortedRows(),
+            *MergedRows(cluster, closure));
+
+  auto n = cluster.WriteWithLineage(0, "/n", "nnn", {});
+  ASSERT_TRUE(n.ok());
+  // Within 64 of /f0, so a change counter shared by 64 neighbouring pnodes
+  // would cover /n and the whole chain alike.
+  ASSERT_GT(n->pnode, refs[0].pnode);
+  ASSERT_LT(n->pnode - refs[0].pnode, 64u);
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  // No zero-invalidation assertion: /n's input edge adds a reverse row
+  // under the shard's worker process, so that process's entries rightly
+  // drop. Every chain file's own entries stay.
+  FederatedSourceTestPeer peer(&source);
+  uint32_t name_id = peer.Intern("name");
+  for (const core::ObjectRef& ref : refs) {
+    EXPECT_TRUE(peer.ProbeAttr(ref.pnode, name_id)) << ref.ToString();
+    EXPECT_TRUE(peer.ProbeEdges(ref, /*inverse=*/false)) << ref.ToString();
+  }
+  EXPECT_EQ(pql::Engine(&source).Run(closure)->SortedRows(),
+            *MergedRows(cluster, closure));
+}
+
 // Ingest that *does* mutate a cached pnode's rows must drop exactly that
-// entry via its fingerprint, even with no epoch bump anywhere.
-TEST(FederatedCacheTest, FingerprintCatchesMutationOfCachedRange) {
+// entry via its stamp, even with no epoch bump anywhere.
+TEST(FederatedCacheTest, StampCatchesMutationOfCachedPnode) {
   ClusterCoordinator cluster(SmallCluster(2));
   auto a = cluster.WriteWithLineage(0, "/a", "aaa", {});
   ASSERT_TRUE(a.ok());
@@ -304,7 +418,7 @@ TEST(FederatedCacheTest, FingerprintCatchesMutationOfCachedRange) {
   EXPECT_EQ(before.size(), 1u);
 
   // /b descends from /a: replication inserts a reverse-index row keyed by
-  // /a's pnode on shard 0, moving its bucket fingerprint.
+  // /a's pnode on shard 0, moving its stamp.
   ASSERT_TRUE(cluster.WriteWithLineage(1, "/b", "bbb", {*a}).ok());
   ASSERT_TRUE(cluster.Sync().ok());
   auto after = pql::Engine(&source).Run(descendants)->SortedRows();
@@ -314,7 +428,7 @@ TEST(FederatedCacheTest, FingerprintCatchesMutationOfCachedRange) {
 }
 
 // Probing a warm cache allocates nothing — the CacheKey is flat (interned
-// attr id, no strings), the owner and fingerprint checks are map lookups,
+// attr id, no strings), the owner and stamp checks are map lookups,
 // and the LRU update is a splice.
 TEST(FederatedCacheTest, WarmCacheProbesAreAllocationFree) {
   ClusterCoordinator cluster(SmallCluster(4));

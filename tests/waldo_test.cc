@@ -286,6 +286,10 @@ TEST(ProvDbTest, SerializeDeserializePreservesQueryResults) {
   EXPECT_EQ(restored->stats().objects, db.stats().objects);
   EXPECT_EQ(restored->stats().db_bytes, db.stats().db_bytes);
   EXPECT_EQ(restored->stats().index_bytes, db.stats().index_bytes);
+  // The replay stamps every row it rebuilds, one number each, as the
+  // original writes did.
+  EXPECT_EQ(restored->stamp(), db.stamp());
+  EXPECT_GT(restored->StampOf(2), 0u);
 }
 
 TEST(ProvDbTest, DeserializeRejectsCorruptImage) {
@@ -594,57 +598,97 @@ TEST_F(WaldoTest, MultipleRotationsAllIngested) {
   EXPECT_GE(db_.RecordsOf({file->pnode(), 0}).size(), 20u);
 }
 
-// Per-range mutation fingerprints: every row keyed into a 64-pnode bucket
-// bumps that bucket's counter, and only that bucket's — the federated
-// cache's per-entry revalidation depends on untouched buckets staying put.
-TEST(ProvDbTest, RangeFingerprintsTrackMutationsPerBucket) {
+// Per-pnode change stamps: every row written takes the next number of one
+// database-wide sequence, and the pnode keying the row keeps it. The
+// federated cache's per-entry revalidation depends on the stamps of pnodes
+// no change keyed staying put, and on no number ever standing for two
+// different row sets of one pnode.
+TEST(ProvDbTest, StampsMoveOnlyForTheKeyingPnode) {
   ProvDb db;
-  EXPECT_EQ(db.range_mutation_count(10), 0u);
+  EXPECT_EQ(db.StampOf(10), 0u);
+  EXPECT_EQ(db.stamp(), 0u);
   db.Insert(Entry({10, 0}, core::Record::Name("/a")));
-  // 10 and 63 share bucket 0; 64 starts bucket 1.
-  EXPECT_EQ(db.range_mutation_count(10), 1u);
-  EXPECT_EQ(db.range_mutation_count(63), 1u);
-  EXPECT_EQ(db.range_mutation_count(64), 0u);
-  // An edge bumps both endpoints' buckets: the reverse-index row under the
-  // ancestor is as much a mutation of its range as the forward row.
+  uint64_t named = db.StampOf(10);
+  EXPECT_GT(named, 0u);
+  // Neighbours keep no row here, whatever their distance.
+  EXPECT_EQ(db.StampOf(11), 0u);
+  EXPECT_EQ(db.StampOf(63), 0u);
+  // An edge moves both endpoints: the forward row is keyed by the subject,
+  // the reverse-index row by the ancestor.
   db.Insert(Entry({70, 0}, core::Record::Input({10, 0})));
-  EXPECT_EQ(db.range_mutation_count(70), 1u);
-  EXPECT_EQ(db.range_mutation_count(10), 2u);
+  EXPECT_GT(db.StampOf(70), named);
+  EXPECT_GT(db.StampOf(10), named);
+  EXPECT_NE(db.StampOf(70), db.StampOf(10));
+  EXPECT_EQ(db.StampOf(11), 0u);
+  EXPECT_EQ(db.stamp(), 3u);  // one number per row written
 }
 
-TEST(ProvDbTest, RangeFingerprintIgnoresDuplicateInsertUnique) {
+TEST(ProvDbTest, StampIgnoresDuplicateInsertUnique) {
   ProvDb db;
   EXPECT_TRUE(db.InsertUnique(Entry({10, 0}, core::Record::Name("/a"))));
-  uint64_t after_first = db.range_mutation_count(10);
+  uint64_t after_first = db.StampOf(10);
   EXPECT_GT(after_first, 0u);
-  // A replayed row is not a mutation: redelivered ingest batches must not
+  uint64_t end = db.stamp();
+  // A replayed row is not a change: redelivered ingest batches must not
   // shake warm cache entries loose.
   EXPECT_FALSE(db.InsertUnique(Entry({10, 0}, core::Record::Name("/a"))));
-  EXPECT_EQ(db.range_mutation_count(10), after_first);
+  EXPECT_EQ(db.StampOf(10), after_first);
+  EXPECT_EQ(db.stamp(), end);
   EXPECT_TRUE(db.InsertUnique(Entry({10, 0}, core::Record::Name("/b"))));
-  EXPECT_GT(db.range_mutation_count(10), after_first);
+  EXPECT_GT(db.StampOf(10), after_first);
 }
 
-TEST(ProvDbTest, DeleteRangeBumpsOnlyTouchedBuckets) {
-  // RangeDb's pnodes (10-12, 50) all share bucket 0; the far subject must
-  // sit past pnode 63 to own a bucket of its own.
+TEST(ProvDbTest, DeleteRangeForgetsOnlyTheRemovedStamps) {
   ProvDb db;
   db.Insert(Entry({10, 0}, core::Record::Name("/a")));
   db.Insert(Entry({11, 0}, core::Record::Input({10, 0})));
   db.Insert(Entry({200, 0}, core::Record::Name("/far")));
   db.Insert(Entry({200, 0}, core::Record::Input({11, 0})));
-  uint64_t near = db.range_mutation_count(10);
-  uint64_t far = db.range_mutation_count(200);
+  uint64_t far = db.StampOf(200);
+  uint64_t end = db.stamp();
   EXPECT_GT(db.DeleteRange(10, 64), 0u);
-  EXPECT_GT(db.range_mutation_count(10), near);
-  // Every deleted row was keyed in [10, 64) — all bucket 0, including the
-  // 11 <- 200 reverse row. Pnode 200's rows survive (even its forward edge
-  // into the range), so its bucket must not move.
-  EXPECT_EQ(db.range_mutation_count(200), far);
-  // Deleting an already-empty range is not a mutation anywhere.
-  uint64_t settled = db.range_mutation_count(10);
+  // Every deleted row was keyed in [10, 64), the 11 <- 200 reverse row
+  // included: those pnodes key no row here any more, and the sequence moved
+  // once.
+  EXPECT_EQ(db.StampOf(10), 0u);
+  EXPECT_EQ(db.StampOf(11), 0u);
+  EXPECT_EQ(db.stamp(), end + 1);
+  // Pnode 200's rows survive (even its forward edge into the range), so its
+  // stamp must not move.
+  EXPECT_EQ(db.StampOf(200), far);
+  // Deleting an already-empty range is not a change anywhere.
   EXPECT_EQ(db.DeleteRange(10, 64), 0u);
-  EXPECT_EQ(db.range_mutation_count(10), settled);
+  EXPECT_EQ(db.stamp(), end + 1);
+}
+
+TEST(ProvDbTest, InsertCopyMovesTheStampButFeedsNothing) {
+  ProvDb db;
+  db.Insert(Entry({10, 0}, core::Record::Name("/a")));
+  uint64_t stamp = db.StampOf(10);
+  uint64_t fed = db.feed_end();
+  // A migration copy changes the rows a cached entry read, so it must move
+  // the stamp, although it adds nothing to the feed.
+  EXPECT_TRUE(db.InsertCopy(Entry({10, 0}, core::Record::Type("FILE"))));
+  EXPECT_GT(db.StampOf(10), stamp);
+  EXPECT_EQ(db.feed_end(), fed);
+  // A copy that inserts nothing moves nothing.
+  uint64_t end = db.stamp();
+  EXPECT_FALSE(db.InsertCopy(Entry({10, 0}, core::Record::Type("FILE"))));
+  EXPECT_EQ(db.stamp(), end);
+}
+
+// Per-pnode counters would restart after DeleteRange, so pnode 10 would read
+// the same stamp for /a and for /b, and an entry cached at /a's stamp would
+// be served for /b. One database-wide sequence never repeats a number.
+TEST(ProvDbTest, StampNeverRepeatsAcrossDeleteRange) {
+  ProvDb db;
+  db.Insert(Entry({10, 0}, core::Record::Name("/a")));
+  uint64_t filled_at = db.StampOf(10);
+  ASSERT_GT(db.DeleteRange(10, 11), 0u);
+  EXPECT_EQ(db.StampOf(10), 0u);
+  db.Insert(Entry({10, 0}, core::Record::Name("/b")));
+  EXPECT_GT(db.StampOf(10), 0u);
+  EXPECT_NE(db.StampOf(10), filled_at);
 }
 
 }  // namespace
