@@ -1,8 +1,12 @@
 // Micro-benchmarks (google-benchmark): analyzer throughput, record codec,
 // the byte kernels (MD5, CRC32, the workload name generator), log framing,
-// KV store, and PQL query latency.
+// KV store, ProvDb's write path and bulk reads, and PQL query latency.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/analyzer.h"
 #include "src/lasagna/log_format.h"
@@ -105,6 +109,74 @@ void BM_KvStorePut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KvStorePut);
+
+// An ingest-shaped stream of `versions` new versions, two per file: each
+// gets NAME, TYPE and one or two INPUT rows (a second version also lists
+// its first). Every second entry of each 32-version block is offered again
+// after the block, as a re-recovered log would.
+std::vector<lasagna::LogEntry> IngestStream(int versions) {
+  Rng rng(5);
+  std::vector<lasagna::LogEntry> stream;
+  size_t block_start = 0;
+  for (int i = 0; i < versions; ++i) {
+    core::PnodeId pnode = 1 + static_cast<core::PnodeId>(i / 2);
+    core::ObjectRef subject{pnode, static_cast<core::Version>(i % 2)};
+    stream.push_back(
+        {subject, core::Record::Name("/data/f" + std::to_string(pnode))});
+    stream.push_back({subject, core::Record::Type("FILE")});
+    stream.push_back(
+        {subject, core::Record::Input({1 + rng.NextBelow(pnode), 0})});
+    if (subject.version == 1) {
+      stream.push_back({subject, core::Record::Input({pnode, 0})});
+    }
+    if ((i + 1) % 32 == 0) {
+      size_t block_end = stream.size();
+      for (size_t j = block_start; j < block_end; j += 2) {
+        stream.push_back(stream[j]);
+      }
+      block_start = stream.size();
+    }
+  }
+  return stream;
+}
+
+// ProvDb's write path as the cluster drives it: every recovered row goes
+// through InsertUnique, and re-offered rows are found present.
+void BM_ProvDbInsertUnique(benchmark::State& state) {
+  std::vector<lasagna::LogEntry> stream =
+      IngestStream(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto db = std::make_unique<waldo::ProvDb>();
+    for (const lasagna::LogEntry& entry : stream) {
+      benchmark::DoNotOptimize(db->InsertUnique(entry));
+    }
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(stream.size()));
+}
+BENCHMARK(BM_ProvDbInsertUnique)->Arg(4096);
+
+// One batched attribute RPC's shard-side work: all records of every version
+// of a 64-node frontier, spread over a 4096-file database.
+void BM_ProvDbRecordsOfAllVersionsMany(benchmark::State& state) {
+  waldo::ProvDb db;
+  for (const lasagna::LogEntry& entry : IngestStream(8192)) {
+    db.Insert(entry);
+  }
+  std::vector<core::PnodeId> frontier;
+  for (core::PnodeId pnode = 1; pnode <= 4096; pnode += 64) {
+    frontier.push_back(pnode);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(db.RecordsOfAllVersionsMany(frontier));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(frontier.size()));
+}
+BENCHMARK(BM_ProvDbRecordsOfAllVersionsMany);
 
 void BM_PqlAncestryQuery(benchmark::State& state) {
   // A chain of `range` object versions; query the full closure.

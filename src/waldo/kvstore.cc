@@ -1,5 +1,7 @@
 #include "src/waldo/kvstore.h"
 
+#include <cstring>
+
 #include "src/util/crc32.h"
 #include "src/util/encode.h"
 #include "src/util/logging.h"
@@ -37,30 +39,54 @@ Result<Frame> ReadFrame(Decoder* in) {
   return frame;
 }
 
+// Little-endian `v` at `out`; returns the byte after it.
+char* StoreU32(char* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>(v >> (8 * i));
+  }
+  return out + 4;
+}
+
+// `bytes` with its u32 length prefix at `out`; returns the byte after it.
+char* StoreBytes(char* out, std::string_view bytes) {
+  out = StoreU32(out, static_cast<uint32_t>(bytes.size()));
+  std::memcpy(out, bytes.data(), bytes.size());
+  return out + bytes.size();
+}
+
 }  // namespace
 
 void KvStore::AppendEntry(std::string_view key, std::string_view value,
                           bool tombstone) {
-  std::string payload;
-  PutU8(&payload, tombstone ? 1 : 0);
-  PutBytes(&payload, key);
-  PutBytes(&payload, value);
-  std::string frame;
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload));
-  frame.append(payload);
-
-  if (segments_.back().size() + frame.size() > segment_bytes_ &&
+  const size_t payload_size = 1 + 4 + key.size() + 4 + value.size();
+  const size_t frame_size = 4 + 4 + payload_size;
+  if (segments_.back().size() + frame_size > segment_bytes_ &&
       !segments_.back().empty()) {
     segments_.emplace_back();
   }
-  segments_.back().append(frame);
+  // The frame is written in place at the segment's end; its CRC slot is
+  // patched once the payload is there.
+  std::string& segment = segments_.back();
+  const size_t start = segment.size();
+  segment.resize(start + frame_size);
+  char* frame = segment.data() + start;
+  char* payload = frame + 8;
+  StoreU32(frame, static_cast<uint32_t>(payload_size));
+  payload[0] = static_cast<char>(tombstone ? 1 : 0);
+  StoreBytes(StoreBytes(payload + 1, key), value);
+  StoreU32(frame + 4, Crc32(std::string_view(payload, payload_size)));
 }
 
 void KvStore::Put(std::string_view key, std::string_view value) {
   AppendEntry(key, value, /*tombstone=*/false);
   uint64_t bytes = key.size() + value.size() + 9;
-  LiveKey& live = live_[std::string(key)];
+  // A key usually holds several values, so the entry is looked up before
+  // a key string is allocated for it.
+  auto it = live_.lower_bound(key);
+  if (it == live_.end() || it->first != key) {
+    it = live_.emplace_hint(it, std::string(key), LiveKey{});
+  }
+  LiveKey& live = it->second;
   ++live.entries;
   live.bytes += bytes;
   live_bytes_ += bytes;

@@ -4,14 +4,19 @@
 // Append-only key/value segment store — the storage engine under Waldo's
 // provenance database (the paper used Berkeley DB; this is a small
 // log-structured equivalent). Keys may repeat: a key holds every value put
-// since its last Delete, in insertion order. In memory the store keeps its
-// segments plus, per live key, the entry count and byte total that Delete
-// moves to the dead tail. Scan and Compact replay the segments, so the store
-// is no fast read path (ProvDb's mirrors are); a bad frame there is a broken
-// invariant and aborts, while Deserialize, which reads an image from outside
-// the process, returns Corrupt. Space accounting (Table 3) is the total size
-// of the segment bytes, which is exactly what the serialized database would
-// occupy on disk.
+// since its last Delete, in insertion order. Put and Delete build each frame
+// in place at the end of the last segment and patch its CRC in once the
+// payload is there, so a frame's bytes are written once, with no temporary
+// copy of the frame. In memory the store keeps its segments plus the
+// live-key index: per live key, the entry count and byte total that Delete
+// moves to the dead tail. Put finds a key's entry before allocating a copy
+// of the key, which only a new key needs.
+// Scan and Compact replay the segments, so the store is no fast read path
+// (ProvDb's node table is); a bad frame there is a broken invariant and
+// aborts, while Deserialize, which reads an image from outside the process,
+// returns Corrupt. Space accounting (Table 3) is the total size of the
+// segment bytes, which is exactly what the serialized database would occupy
+// on disk.
 
 #include <cstdint>
 #include <functional>
@@ -76,7 +81,8 @@ class KvStore {
   uint64_t segment_bytes_;
   bool auto_compact_ = true;
   std::vector<std::string> segments_;
-  // Per live key: how many entries it holds and their byte total.
+  // The live-key index. Per live key: how many entries it holds and their
+  // byte total.
   struct LiveKey {
     uint64_t entries = 0;
     uint64_t bytes = 0;

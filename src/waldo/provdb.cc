@@ -10,10 +10,34 @@
 namespace pass::waldo {
 namespace {
 
-std::string RefKey(char prefix, const core::ObjectRef& ref) {
-  return StrFormat("%c/%016llx/%08x", prefix,
-                   static_cast<unsigned long long>(ref.pnode), ref.version);
-}
+// The store key of a ref's 'r/', 'i/' or 'o/' rows,
+// "<prefix>/<%016llx pnode>/<%08x version>", formatted into a fixed buffer.
+// It converts to the view KvStore takes, valid while the key lives.
+class RefKey {
+ public:
+  static constexpr size_t kBytes = 2 + 16 + 1 + 8;
+
+  RefKey(char prefix, const core::ObjectRef& ref) {
+    bytes_[0] = prefix;
+    bytes_[1] = '/';
+    PutHex(ref.pnode, 16, bytes_ + 2);
+    bytes_[18] = '/';
+    PutHex(ref.version, 8, bytes_ + 19);
+  }
+  operator std::string_view() const { return {bytes_, kBytes}; }
+
+ private:
+  // The low `digits` hex digits of `value`, lowercase, most significant
+  // first.
+  static void PutHex(uint64_t value, int digits, char* out) {
+    for (int i = digits - 1; i >= 0; --i) {
+      out[i] = "0123456789abcdef"[value & 0xf];
+      value >>= 4;
+    }
+  }
+
+  char bytes_[kBytes];
+};
 
 std::string EncodeRef(const core::ObjectRef& ref) {
   std::string out;
@@ -21,7 +45,61 @@ std::string EncodeRef(const core::ObjectRef& ref) {
   return out;
 }
 
+// Orders a node's versions for std::lower_bound.
+constexpr auto kVersionBefore = [](const auto& rows, core::Version version) {
+  return rows.version < version;
+};
+
+template <typename Row>
+bool Contains(const std::vector<Row>& rows, const Row& row) {
+  return std::find(rows.begin(), rows.end(), row) != rows.end();
+}
+
 }  // namespace
+
+ProvDb::VersionRows& ProvDb::Node::Rows(core::Version version) {
+  auto it = std::lower_bound(versions.begin(), versions.end(), version,
+                             kVersionBefore);
+  if (it == versions.end() || it->version != version) {
+    it = versions.insert(it, VersionRows());
+    it->version = version;
+  }
+  return *it;
+}
+
+ProvDb::Slot ProvDb::SlotOf(const core::ObjectRef& ref) {
+  Node& node = nodes_[ref.pnode];
+  return {&node, &node.Rows(ref.version)};
+}
+
+std::pair<ProvDb::Slot, ProvDb::Slot> ProvDb::EdgeSlots(
+    const core::ObjectRef& subject, const core::ObjectRef& ancestor) {
+  Node& subject_node = nodes_[subject.pnode];
+  subject_node.Rows(subject.version);
+  Slot ancestor_slot = SlotOf(ancestor);
+  // The subject's version exists by now, so this finds it and moves no
+  // rows.
+  return {{&subject_node, &subject_node.Rows(subject.version)},
+          ancestor_slot};
+}
+
+const ProvDb::VersionRows* ProvDb::FindRows(
+    const core::ObjectRef& ref) const {
+  auto node = nodes_.find(ref.pnode);
+  if (node == nodes_.end()) {
+    return nullptr;
+  }
+  const std::vector<VersionRows>& versions = node->second.versions;
+  auto it = std::lower_bound(versions.begin(), versions.end(), ref.version,
+                             kVersionBefore);
+  return it != versions.end() && it->version == ref.version ? &*it : nullptr;
+}
+
+ProvDb::NodeRange ProvDb::NodesIn(core::PnodeId begin,
+                                  core::PnodeId end) const {
+  auto first = nodes_.lower_bound(begin);
+  return {first, end <= begin ? first : nodes_.lower_bound(end)};
+}
 
 void ProvDb::Insert(const lasagna::LogEntry& entry) {
   const core::ObjectRef& subject = entry.subject;
@@ -29,18 +107,19 @@ void ProvDb::Insert(const lasagna::LogEntry& entry) {
 
   if (record.attr == core::Attr::kInput) {
     if (const auto* ancestor = std::get_if<core::ObjectRef>(&record.value)) {
-      WriteEdge(subject, *ancestor, /*forward=*/true, /*reverse=*/true,
-                /*feed=*/true);
+      auto [subject_slot, ancestor_slot] = EdgeSlots(subject, *ancestor);
+      WriteEdge(subject_slot, ancestor_slot, subject, *ancestor,
+                /*forward=*/true, /*reverse=*/true, /*feed=*/true);
     } else {
       // No edge to store: the subject version is only made known.
-      pnodes_[subject.pnode].versions.insert(subject.version);
+      SlotOf(subject);
     }
     return;
   }
-  WriteAttr(subject, record, /*feed=*/true);
+  WriteAttr(SlotOf(subject), subject, record, /*feed=*/true);
 }
 
-void ProvDb::WriteAttr(const core::ObjectRef& subject,
+void ProvDb::WriteAttr(Slot slot, const core::ObjectRef& subject,
                        const core::Record& record, bool feed) {
   if (feed) {
     Feed(FeedRow::Kind::kAttr, subject, {});
@@ -55,10 +134,11 @@ void ProvDb::WriteAttr(const core::ObjectRef& subject,
       indexes_.Put("t/" + *text, EncodeRef(subject));
     }
   }
-  MirrorAttr(subject, record);
+  MirrorAttr(slot, subject.pnode, record);
 }
 
-void ProvDb::WriteEdge(const core::ObjectRef& subject,
+void ProvDb::WriteEdge(Slot subject_slot, Slot ancestor_slot,
+                       const core::ObjectRef& subject,
                        const core::ObjectRef& ancestor, bool forward,
                        bool reverse, bool feed) {
   if (forward) {
@@ -73,7 +153,8 @@ void ProvDb::WriteEdge(const core::ObjectRef& subject,
     }
     indexes_.Put(RefKey('o', ancestor), EncodeRef(subject));
   }
-  MirrorEdge(subject, ancestor, forward, reverse);
+  MirrorEdge(subject_slot, ancestor_slot, subject, ancestor, forward,
+             reverse);
 }
 
 void ProvDb::Feed(FeedRow::Kind kind, const core::ObjectRef& key,
@@ -133,64 +214,62 @@ void ProvDb::AppendFeed(const std::vector<FeedRow>& rows) {
   }
 }
 
-void ProvDb::MirrorAttr(const core::ObjectRef& subject, core::Record record) {
-  PnodeEntry& entry = pnodes_[subject.pnode];
-  entry.versions.insert(subject.version);
-  entry.stamp = ++stamp_;
+void ProvDb::MirrorAttr(Slot slot, core::PnodeId pnode, core::Record record) {
+  slot.node->stamp = ++stamp_;
   if (const auto* text = std::get_if<std::string>(&record.value)) {
     if (record.attr == core::Attr::kName) {
-      by_name_[*text].insert(subject.pnode);
-      names_[subject.pnode] = *text;
+      by_name_[*text].insert(pnode);
+      slot.node->name = *text;
     } else if (record.attr == core::Attr::kType) {
-      by_type_[*text].insert(subject.pnode);
+      by_type_[*text].insert(pnode);
     }
   }
-  attrs_[subject].push_back(std::move(record));
+  slot.rows->attrs.push_back(std::move(record));
   ++record_count_;
 }
 
-void ProvDb::MirrorEdge(const core::ObjectRef& subject,
+void ProvDb::MirrorEdge(Slot subject_slot, Slot ancestor_slot,
+                        const core::ObjectRef& subject,
                         const core::ObjectRef& ancestor, bool forward,
                         bool reverse) {
-  PnodeEntry& subject_entry = pnodes_[subject.pnode];
-  subject_entry.versions.insert(subject.version);
-  PnodeEntry& ancestor_entry = pnodes_[ancestor.pnode];
-  ancestor_entry.versions.insert(ancestor.version);
   if (forward) {
-    inputs_[subject].push_back(ancestor);
+    subject_slot.rows->inputs.push_back(ancestor);
     ++edge_count_;  // edge_count_ counts forward rows
-    subject_entry.stamp = ++stamp_;
+    subject_slot.node->stamp = ++stamp_;
   }
   if (reverse) {
-    outputs_[ancestor].push_back(subject);
-    ancestor_entry.stamp = ++stamp_;
+    ancestor_slot.rows->outputs.push_back(subject);
+    ancestor_slot.node->stamp = ++stamp_;
   }
 }
 
 std::vector<core::Record> ProvDb::RecordsOf(const core::ObjectRef& ref) const {
-  auto it = attrs_.find(ref);
-  return it == attrs_.end() ? std::vector<core::Record>() : it->second;
+  const VersionRows* rows = FindRows(ref);
+  return rows == nullptr ? std::vector<core::Record>() : rows->attrs;
 }
 
 std::vector<core::Record> ProvDb::RecordsOfAllVersions(
     core::PnodeId pnode) const {
   std::vector<core::Record> out;
-  for (core::Version version : VersionsOf(pnode)) {
-    auto records = RecordsOf(core::ObjectRef{pnode, version});
-    out.insert(out.end(), records.begin(), records.end());
+  auto it = nodes_.find(pnode);
+  if (it == nodes_.end()) {
+    return out;
+  }
+  for (const VersionRows& rows : it->second.versions) {
+    out.insert(out.end(), rows.attrs.begin(), rows.attrs.end());
   }
   return out;
 }
 
 std::vector<core::ObjectRef> ProvDb::Inputs(const core::ObjectRef& ref) const {
-  auto it = inputs_.find(ref);
-  return it == inputs_.end() ? std::vector<core::ObjectRef>() : it->second;
+  const VersionRows* rows = FindRows(ref);
+  return rows == nullptr ? std::vector<core::ObjectRef>() : rows->inputs;
 }
 
 std::vector<core::ObjectRef> ProvDb::Outputs(
     const core::ObjectRef& ref) const {
-  auto it = outputs_.find(ref);
-  return it == outputs_.end() ? std::vector<core::ObjectRef>() : it->second;
+  const VersionRows* rows = FindRows(ref);
+  return rows == nullptr ? std::vector<core::ObjectRef>() : rows->outputs;
 }
 
 std::vector<std::vector<core::ObjectRef>> ProvDb::InputsMany(
@@ -224,20 +303,24 @@ std::vector<std::vector<core::Record>> ProvDb::RecordsOfAllVersionsMany(
 }
 
 std::vector<core::Version> ProvDb::VersionsOf(core::PnodeId pnode) const {
-  auto it = pnodes_.find(pnode);
-  if (it == pnodes_.end()) {
-    return {};
+  std::vector<core::Version> out;
+  auto it = nodes_.find(pnode);
+  if (it == nodes_.end()) {
+    return out;
   }
-  const std::set<core::Version>& versions = it->second.versions;
-  return std::vector<core::Version>(versions.begin(), versions.end());
+  out.reserve(it->second.versions.size());
+  for (const VersionRows& rows : it->second.versions) {
+    out.push_back(rows.version);
+  }
+  return out;
 }
 
 core::Version ProvDb::LatestVersionOf(core::PnodeId pnode) const {
-  auto it = pnodes_.find(pnode);
-  if (it == pnodes_.end() || it->second.versions.empty()) {
+  auto it = nodes_.find(pnode);
+  if (it == nodes_.end() || it->second.versions.empty()) {
     return 0;
   }
-  return *it->second.versions.rbegin();
+  return it->second.versions.back().version;
 }
 
 std::vector<core::PnodeId> ProvDb::PnodesByName(std::string_view name) const {
@@ -257,14 +340,14 @@ std::vector<core::PnodeId> ProvDb::PnodesByType(std::string_view type) const {
 }
 
 std::string ProvDb::NameOf(core::PnodeId pnode) const {
-  auto it = names_.find(pnode);
-  return it == names_.end() ? std::string() : it->second;
+  auto it = nodes_.find(pnode);
+  return it == nodes_.end() ? std::string() : it->second.name;
 }
 
 std::vector<core::PnodeId> ProvDb::AllPnodes() const {
   std::vector<core::PnodeId> out;
-  out.reserve(pnodes_.size());
-  for (const auto& [pnode, unused] : pnodes_) {
+  out.reserve(nodes_.size());
+  for (const auto& [pnode, unused] : nodes_) {
     out.push_back(pnode);
   }
   return out;
@@ -280,19 +363,6 @@ std::string ProvDb::TypeOf(core::PnodeId pnode) const {
   return std::string();
 }
 
-namespace {
-
-// Whether the mirror row vector of `key` holds `value`.
-template <typename Map, typename Key, typename Value>
-bool RowContains(const Map& map, const Key& key, const Value& value) {
-  auto it = map.find(key);
-  return it != map.end() &&
-         std::find(it->second.begin(), it->second.end(), value) !=
-             it->second.end();
-}
-
-}  // namespace
-
 bool ProvDb::InsertUnique(const lasagna::LogEntry& entry) {
   return InsertMissing(entry, /*feed=*/true);
 }
@@ -302,50 +372,62 @@ bool ProvDb::InsertCopy(const lasagna::LogEntry& entry) {
 }
 
 bool ProvDb::InsertMissing(const lasagna::LogEntry& entry, bool feed) {
+  // The slots are taken before the check: a present row names only nodes
+  // and versions that exist, so taking them creates nothing for a row that
+  // is not written.
   const core::ObjectRef& subject = entry.subject;
   if (entry.record.attr == core::Attr::kInput) {
     const auto* ancestor = std::get_if<core::ObjectRef>(&entry.record.value);
     if (ancestor == nullptr) {
       return false;
     }
-    bool forward = !RowContains(inputs_, subject, *ancestor);
-    bool reverse = !RowContains(outputs_, *ancestor, subject);
+    auto [subject_slot, ancestor_slot] = EdgeSlots(subject, *ancestor);
+    bool forward = !Contains(subject_slot.rows->inputs, *ancestor);
+    bool reverse = !Contains(ancestor_slot.rows->outputs, subject);
     if (!forward && !reverse) {
       return false;
     }
-    WriteEdge(subject, *ancestor, forward, reverse, feed);
+    WriteEdge(subject_slot, ancestor_slot, subject, *ancestor, forward,
+              reverse, feed);
     return true;
   }
-  if (RowContains(attrs_, subject, entry.record)) {
+  Slot slot = SlotOf(subject);
+  if (Contains(slot.rows->attrs, entry.record)) {
     return false;
   }
-  WriteAttr(subject, entry.record, feed);
+  WriteAttr(slot, subject, entry.record, feed);
   return true;
 }
 
 std::vector<lasagna::LogEntry> ProvDb::EntriesInRange(core::PnodeId begin,
                                                       core::PnodeId end) const {
+  // One pass per row kind, as the stores key them: attribute rows, then
+  // forward rows, then reverse rows.
   std::vector<lasagna::LogEntry> out;
-  const core::ObjectRef lo{begin, 0};
-  for (auto it = attrs_.lower_bound(lo);
-       it != attrs_.end() && it->first.pnode < end; ++it) {
-    for (const core::Record& record : it->second) {
-      out.push_back({it->first, record});
+  const NodeRange nodes = NodesIn(begin, end);
+  for (const auto& [pnode, node] : nodes) {
+    for (const VersionRows& rows : node.versions) {
+      for (const core::Record& record : rows.attrs) {
+        out.push_back({{pnode, rows.version}, record});
+      }
     }
   }
-  for (auto it = inputs_.lower_bound(lo);
-       it != inputs_.end() && it->first.pnode < end; ++it) {
-    for (const core::ObjectRef& ancestor : it->second) {
-      out.push_back({it->first, core::Record::Input(ancestor)});
+  for (const auto& [pnode, node] : nodes) {
+    for (const VersionRows& rows : node.versions) {
+      for (const core::ObjectRef& ancestor : rows.inputs) {
+        out.push_back({{pnode, rows.version}, core::Record::Input(ancestor)});
+      }
     }
   }
   // Reverse rows whose subject is also in range were already emitted as the
   // matching forward edge above (Insert recreates both rows from one entry).
-  for (auto it = outputs_.lower_bound(lo);
-       it != outputs_.end() && it->first.pnode < end; ++it) {
-    for (const core::ObjectRef& subject : it->second) {
-      if (subject.pnode < begin || subject.pnode >= end) {
-        out.push_back({subject, core::Record::Input(it->first)});
+  for (const auto& [pnode, node] : nodes) {
+    for (const VersionRows& rows : node.versions) {
+      for (const core::ObjectRef& subject : rows.outputs) {
+        if (subject.pnode < begin || subject.pnode >= end) {
+          out.push_back(
+              {subject, core::Record::Input({pnode, rows.version})});
+        }
       }
     }
   }
@@ -377,46 +459,55 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
     return 0;  // empty range; also keeps the end - 1 bounds below safe
   }
   uint64_t removed = 0;
-  const core::ObjectRef lo{begin, 0};
   // Names/types referenced by in-range subjects: only their index keys can
   // need rewriting below.
   std::set<std::string> touched_names;
   std::set<std::string> touched_types;
-  for (auto it = attrs_.lower_bound(lo);
-       it != attrs_.end() && it->first.pnode < end;) {
-    for (const core::Record& record : it->second) {
-      if (const auto* text = std::get_if<std::string>(&record.value)) {
-        if (record.attr == core::Attr::kName) {
-          touched_names.insert(*text);
-        } else if (record.attr == core::Attr::kType) {
-          touched_types.insert(*text);
+  // One pass per key family, as EntriesInRange: every 'r/' key, then every
+  // 'i/' key, then every 'o/' key. A store may auto-compact on any Delete,
+  // so this order fixes where it does.
+  const NodeRange nodes = NodesIn(begin, end);
+  for (const auto& [pnode, node] : nodes) {
+    for (const VersionRows& rows : node.versions) {
+      if (rows.attrs.empty()) {
+        continue;
+      }
+      for (const core::Record& record : rows.attrs) {
+        if (const auto* text = std::get_if<std::string>(&record.value)) {
+          if (record.attr == core::Attr::kName) {
+            touched_names.insert(*text);
+          } else if (record.attr == core::Attr::kType) {
+            touched_types.insert(*text);
+          }
         }
       }
+      records_.Delete(RefKey('r', {pnode, rows.version}));
+      removed += rows.attrs.size();
+      record_count_ -= rows.attrs.size();
     }
-    records_.Delete(RefKey('r', it->first));
-    removed += it->second.size();
-    record_count_ -= it->second.size();
-    it = attrs_.erase(it);
   }
   // edge_count_ tracks forward rows only; the paired reverse row of a fully
-  // in-range edge goes in the outputs loop without further decrement.
-  for (auto it = inputs_.lower_bound(lo);
-       it != inputs_.end() && it->first.pnode < end;) {
-    indexes_.Delete(RefKey('i', it->first));
-    removed += it->second.size();
-    edge_count_ -= it->second.size();
-    it = inputs_.erase(it);
+  // in-range edge goes in the reverse pass without further decrement.
+  for (const auto& [pnode, node] : nodes) {
+    for (const VersionRows& rows : node.versions) {
+      if (!rows.inputs.empty()) {
+        indexes_.Delete(RefKey('i', {pnode, rows.version}));
+        removed += rows.inputs.size();
+        edge_count_ -= rows.inputs.size();
+      }
+    }
   }
-  for (auto it = outputs_.lower_bound(lo);
-       it != outputs_.end() && it->first.pnode < end;) {
-    indexes_.Delete(RefKey('o', it->first));
-    removed += it->second.size();
-    it = outputs_.erase(it);
+  for (const auto& [pnode, node] : nodes) {
+    for (const VersionRows& rows : node.versions) {
+      if (!rows.outputs.empty()) {
+        indexes_.Delete(RefKey('o', {pnode, rows.version}));
+        removed += rows.outputs.size();
+      }
+    }
   }
-  // Erasing the range's entries forgets their stamps, so a removed pnode's
+  // Erasing the range's nodes forgets their stamps, so a removed pnode's
   // stamp reads 0 again.
-  pnodes_.erase(pnodes_.lower_bound(begin), pnodes_.upper_bound(end - 1));
-  names_.erase(names_.lower_bound(begin), names_.upper_bound(end - 1));
+  nodes_.erase(nodes.begin(), nodes.end());
 
   // Secondary name/type indexes: drop in-range pnodes from the touched keys
   // and rewrite those keys so surviving pnodes stay accounted in the store.
@@ -449,43 +540,30 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
 
 uint64_t ProvDb::RowsInRange(core::PnodeId begin, core::PnodeId end) const {
   uint64_t rows = 0;
-  const core::ObjectRef lo{begin, 0};
-  for (auto it = attrs_.lower_bound(lo);
-       it != attrs_.end() && it->first.pnode < end; ++it) {
-    rows += it->second.size();
-  }
-  for (auto it = inputs_.lower_bound(lo);
-       it != inputs_.end() && it->first.pnode < end; ++it) {
-    rows += it->second.size();
+  for (const auto& [pnode, weight] : PnodeRowsInRange(begin, end)) {
+    rows += weight;
   }
   return rows;
 }
 
 std::vector<std::pair<core::PnodeId, uint64_t>> ProvDb::PnodeRowsInRange(
     core::PnodeId begin, core::PnodeId end) const {
-  std::map<core::PnodeId, uint64_t> weights;
-  for (auto it = pnodes_.lower_bound(begin);
-       it != pnodes_.end() && it->first < end; ++it) {
-    weights[it->first];  // present even when the pnode has no subject rows
+  std::vector<std::pair<core::PnodeId, uint64_t>> weights;
+  for (const auto& [pnode, node] : NodesIn(begin, end)) {
+    uint64_t weight = 0;  // stays 0 when the pnode is no row's subject
+    for (const VersionRows& rows : node.versions) {
+      weight += rows.attrs.size() + rows.inputs.size();
+    }
+    weights.emplace_back(pnode, weight);
   }
-  const core::ObjectRef lo{begin, 0};
-  for (auto it = attrs_.lower_bound(lo);
-       it != attrs_.end() && it->first.pnode < end; ++it) {
-    weights[it->first.pnode] += it->second.size();
-  }
-  for (auto it = inputs_.lower_bound(lo);
-       it != inputs_.end() && it->first.pnode < end; ++it) {
-    weights[it->first.pnode] += it->second.size();
-  }
-  return std::vector<std::pair<core::PnodeId, uint64_t>>(weights.begin(),
-                                                         weights.end());
+  return weights;
 }
 
 namespace {
 
 // Parse "<prefix>/<%016llx pnode>/<%08x version>" back into a ref.
 Result<core::ObjectRef> ParseRefKey(std::string_view key) {
-  if (key.size() != 2 + 16 + 1 + 8 || key[1] != '/' || key[18] != '/') {
+  if (key.size() != RefKey::kBytes || key[1] != '/' || key[18] != '/') {
     return Corrupt("provdb: malformed ref key");
   }
   core::ObjectRef ref;
@@ -518,7 +596,7 @@ Result<ProvDb> ProvDb::Deserialize(std::string_view image) {
   db.records_ = std::move(records);
   db.indexes_ = std::move(indexes);
 
-  // Rebuild the mirrors through the row kinds' mirror paths. The records
+  // Rebuild the node table through the row kinds' mirror paths. The records
   // store carries every attribute record, the 'i/' keys every forward row
   // and the 'o/' keys every reverse row; 'n/' and 't/' are derived. Reverse
   // rows come solely from 'o/' keys, never from 'i/': range deletion and
@@ -545,19 +623,23 @@ Result<ProvDb> ProvDb::Deserialize(std::string_view image) {
   };
   replay(db.records_, "r/", [&](const core::ObjectRef& subject, Decoder* body) {
     PASS_ASSIGN_OR_RETURN(core::Record record, core::DecodeRecord(body));
-    db.MirrorAttr(subject, std::move(record));
+    db.MirrorAttr(db.SlotOf(subject), subject.pnode, std::move(record));
     return Status::Ok();
   });
   replay(db.indexes_, "i/", [&](const core::ObjectRef& subject, Decoder* body) {
     PASS_ASSIGN_OR_RETURN(core::ObjectRef ancestor,
                           core::DecodeObjectRef(body));
-    db.MirrorEdge(subject, ancestor, /*forward=*/true, /*reverse=*/false);
+    auto [subject_slot, ancestor_slot] = db.EdgeSlots(subject, ancestor);
+    db.MirrorEdge(subject_slot, ancestor_slot, subject, ancestor,
+                  /*forward=*/true, /*reverse=*/false);
     return Status::Ok();
   });
   replay(db.indexes_, "o/", [&](const core::ObjectRef& ancestor, Decoder* body) {
     PASS_ASSIGN_OR_RETURN(core::ObjectRef subject,
                           core::DecodeObjectRef(body));
-    db.MirrorEdge(subject, ancestor, /*forward=*/false, /*reverse=*/true);
+    auto [subject_slot, ancestor_slot] = db.EdgeSlots(subject, ancestor);
+    db.MirrorEdge(subject_slot, ancestor_slot, subject, ancestor,
+                  /*forward=*/false, /*reverse=*/true);
     return Status::Ok();
   });
   if (!failure.ok()) {
@@ -570,7 +652,7 @@ ProvDbStats ProvDb::stats() const {
   ProvDbStats stats;
   stats.records = record_count_;
   stats.edges = edge_count_;
-  stats.objects = pnodes_.size();
+  stats.objects = nodes_.size();
   stats.db_bytes = records_.stats().bytes;
   stats.index_bytes = indexes_.stats().bytes;
   return stats;

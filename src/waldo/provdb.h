@@ -14,11 +14,16 @@
 //                   o/<pnode>/<version> -> encoded child    (reverse edges)
 //
 // Each row lives twice: as a store frame, the on-disk image Table 3 counts,
-// and in an in-memory mirror (attrs_, inputs_, outputs_), the only read
-// path. No query reads a store; Deserialize rebuilds the mirrors by
-// replaying the stores (round-trip tested).
+// and in an in-memory mirror, the only read path. The mirror is one node
+// table ordered by pnode: a node holds its pnode's versions, ascending, each
+// with its attribute, forward and reverse rows, plus the pnode's latest name
+// and its change stamp. A row costs one node lookup per pnode it names, and
+// its store frames are built in place (kvstore.h). No query reads a store;
+// Deserialize rebuilds the node table by replaying the stores (round-trip
+// tested).
 
 #include <map>
+#include <ranges>
 #include <set>
 #include <span>
 #include <string>
@@ -140,8 +145,8 @@ class ProvDb {
   //
   // Stamp of `pnode` (0 when no row here is keyed by it).
   uint64_t StampOf(core::PnodeId pnode) const {
-    auto it = pnodes_.find(pnode);
-    return it == pnodes_.end() ? 0 : it->second.stamp;
+    auto it = nodes_.find(pnode);
+    return it == nodes_.end() ? 0 : it->second.stamp;
   }
   // The end of the sequence: it moves on every row written or removed
   // (bench/harness.h sums it to tell whether anything changed between two
@@ -192,7 +197,7 @@ class ProvDb {
   ProvDbStats stats() const;
 
   // Persist the database as its two KvStore images / rebuild it from them.
-  // The in-memory mirrors are reconstructed from the stores: a restored
+  // The node table is reconstructed from the stores: a restored
   // database returns the same result *sets* for every query. Per-subject
   // record order and per-ancestor Outputs() order are preserved (the stores
   // keep per-key insertion order; edges rebuild from 'i/' and 'o/' keys
@@ -204,45 +209,77 @@ class ProvDb {
   static Result<ProvDb> Deserialize(std::string_view image);
 
  private:
+  // One version of a pnode: its rows of each kind, in insertion order (query
+  // results and the portal cache's access order follow it). InsertUnique
+  // checks membership by scanning a list: attribute and forward-edge lists
+  // hold a handful of rows, and most reverse lists 16 or fewer.
+  struct VersionRows {
+    core::Version version = 0;
+    std::vector<core::Record> attrs;       // attribute rows ('r/')
+    std::vector<core::ObjectRef> inputs;   // forward rows: ancestors ('i/')
+    std::vector<core::ObjectRef> outputs;  // reverse rows: subjects ('o/')
+  };
+  // The node of one pnode. A node exists for every pnode a row here names,
+  // ancestor-only ones included, and holds each version a row names.
+  struct Node {
+    std::vector<VersionRows> versions;  // ascending by version
+    std::string name;    // the latest NAME row's value ("" when none)
+    uint64_t stamp = 0;  // 0 while no row here is keyed by the pnode
+    // The rows of `version`, inserted in order when it is new. An insert
+    // can move every version's rows, so it invalidates references into the
+    // node's versions.
+    VersionRows& Rows(core::Version version);
+  };
+  // Where one row lands: the node of the pnode keying it and that version's
+  // rows, looked up once per row.
+  struct Slot {
+    Node* node;
+    VersionRows* rows;
+  };
+  // The slot of `ref`, creating its node and version when they are new.
+  Slot SlotOf(const core::ObjectRef& ref);
+  // The subject's and the ancestor's slots of one INPUT edge, both
+  // versions created before either slot is taken: with a same-pnode edge
+  // ({p, 2} INPUT {p, 1}) creating one version moves the other's rows.
+  std::pair<Slot, Slot> EdgeSlots(const core::ObjectRef& subject,
+                                  const core::ObjectRef& ancestor);
+  const VersionRows* FindRows(const core::ObjectRef& ref) const;
+  // The nodes of pnodes [begin, end), in pnode order (none when end <=
+  // begin).
+  using NodeRange =
+      std::ranges::subrange<std::map<core::PnodeId, Node>::const_iterator>;
+  NodeRange NodesIn(core::PnodeId begin, core::PnodeId end) const;
+
   // Shared row paths. WriteAttr writes an attribute row's store frames;
   // WriteEdge writes the requested halves of an INPUT edge (the forward 'i/'
   // row keyed by the subject, the reverse 'o/' row keyed by the ancestor).
   // Both append to the feed when `feed` is set, and then call the kind's
-  // Mirror* path, which keeps the mirror and its bookkeeping (pnodes_ with
-  // the keying stamps, names_, by_name_, by_type_, the row counts).
-  // Deserialize calls only the Mirror* paths, so a restore writes no store
-  // frame and feeds nothing.
-  void WriteAttr(const core::ObjectRef& subject, const core::Record& record,
-                 bool feed);
-  void WriteEdge(const core::ObjectRef& subject,
+  // Mirror* path, which appends the row to its slot and keeps the
+  // bookkeeping (the keying stamps, the node's name, by_name_, by_type_,
+  // the row counts). Deserialize calls only the Mirror* paths, so a restore
+  // writes no store frame and feeds nothing.
+  void WriteAttr(Slot slot, const core::ObjectRef& subject,
+                 const core::Record& record, bool feed);
+  void WriteEdge(Slot subject_slot, Slot ancestor_slot,
+                 const core::ObjectRef& subject,
                  const core::ObjectRef& ancestor, bool forward, bool reverse,
                  bool feed);
   bool InsertMissing(const lasagna::LogEntry& entry, bool feed);
   void Feed(FeedRow::Kind kind, const core::ObjectRef& key,
             const core::ObjectRef& other);
-  void MirrorAttr(const core::ObjectRef& subject, core::Record record);
-  void MirrorEdge(const core::ObjectRef& subject,
+  void MirrorAttr(Slot slot, core::PnodeId pnode, core::Record record);
+  void MirrorEdge(Slot subject_slot, Slot ancestor_slot,
+                  const core::ObjectRef& subject,
                   const core::ObjectRef& ancestor, bool forward, bool reverse);
 
   KvStore records_{/*segment_bytes=*/4u << 20};
   KvStore indexes_{/*segment_bytes=*/4u << 20};
 
-  // In-memory mirrors, each key's rows in insertion order (query results
-  // and the portal cache's access order follow it). InsertUnique checks
-  // membership by scanning a key's row vector: attribute and forward-edge
-  // lists hold a handful of rows, and most reverse lists 16 or fewer.
-  std::map<core::ObjectRef, std::vector<core::Record>> attrs_;
-  std::map<core::ObjectRef, std::vector<core::ObjectRef>> inputs_;
-  std::map<core::ObjectRef, std::vector<core::ObjectRef>> outputs_;
-  // Every pnode a row here names: its known versions and its stamp.
-  struct PnodeEntry {
-    std::set<core::Version> versions;
-    uint64_t stamp = 0;  // 0 while no row here is keyed by the pnode
-  };
-  std::map<core::PnodeId, PnodeEntry> pnodes_;
+  // The mirror. Ordered by pnode, so a range's nodes are adjacent and its
+  // versions come out in ObjectRef order.
+  std::map<core::PnodeId, Node> nodes_;
   std::map<std::string, std::set<core::PnodeId>> by_name_;
   std::map<std::string, std::set<core::PnodeId>> by_type_;
-  std::map<core::PnodeId, std::string> names_;
   uint64_t record_count_ = 0;
   uint64_t edge_count_ = 0;
   uint64_t stamp_ = 0;  // the sequence's last number

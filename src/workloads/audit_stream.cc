@@ -147,9 +147,10 @@ Status AuditStreamGenerator::StreamRound() {
 
       // Cross-shard lineage: disclose an INPUT edge to a foreign output,
       // carrying taint across the cluster fabric.
-      if (!outputs_.empty() && NextUnit() < options_.cross_shard_fraction) {
+      if (!output_files_.empty() &&
+          NextUnit() < options_.cross_shard_fraction) {
         const OutputFile& foreign =
-            outputs_[NextRand() % outputs_.size()];
+            output_files_[NextRand() % output_files_.size()];
         if (foreign.shard != shard) {
           PASS_RETURN_IF_ERROR(m.pass()->DiscloseRecords(
               worker, out_ref, {core::Record::Input(foreign.ref)}));
@@ -160,7 +161,8 @@ Status AuditStreamGenerator::StreamRound() {
       if (out_tainted) {
         tainted_files_.insert(FileKey(shard, out_path));
       }
-      outputs_.push_back(OutputFile{shard, out_ref, out_path, out_tainted});
+      output_files_.push_back(
+          OutputFile{shard, out_ref, out_path, out_tainted});
       readable_[shard].push_back(out_path);
     }
   }

@@ -84,7 +84,7 @@ class AuditStreamGenerator {
   uint64_t rng_;
   int round_ = 0;
   std::vector<std::vector<std::string>> readable_;  // per shard: local paths
-  std::vector<OutputFile> outputs_;                 // all shards, in order
+  std::vector<OutputFile> output_files_;            // all shards, in order
   std::set<std::string> tainted_files_;             // "<shard>:<path>"
   std::set<std::string> tainted_processes_;
 };

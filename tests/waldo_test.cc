@@ -11,6 +11,8 @@
 #include "src/fs/memfs.h"
 #include "src/lasagna/lasagna.h"
 #include "src/sim/env.h"
+#include "src/util/md5.h"
+#include "src/util/rng.h"
 #include "src/waldo/kvstore.h"
 #include "src/waldo/provdb.h"
 #include "src/waldo/waldo.h"
@@ -469,6 +471,189 @@ TEST(ProvDbTest, PartialNameIndexDeleteKeepsSurvivors) {
   auto by_name = db.PnodesByName("/twin");
   ASSERT_EQ(by_name.size(), 1u);
   EXPECT_EQ(by_name[0], 80u);
+}
+
+// ---- Node table --------------------------------------------------------------
+
+// One pnode's versions chained newest first: each edge names a version older
+// than every one the node holds, so each insert lands at the front of the
+// node's version list while the edge's rows are being written (the ASan
+// build reads freed rows if a reference outlives the insert).
+TEST(ProvDbTest, SamePnodeChainInsertedNewestFirst) {
+  ProvDb db;
+  for (core::Version k = 20; k >= 1; --k) {
+    db.Insert(Entry({7, k}, core::Record::Input({7, k - 1})));
+    db.Insert(Entry({7, k}, core::Record::Type("FILE")));
+  }
+  for (core::Version k = 20; k >= 1; --k) {
+    EXPECT_FALSE(
+        db.InsertUnique(Entry({7, k}, core::Record::Input({7, k - 1}))));
+  }
+  std::vector<core::Version> all;
+  for (core::Version k = 0; k <= 20; ++k) {
+    all.push_back(k);
+    std::vector<core::ObjectRef> inputs;
+    if (k > 0) {
+      inputs.push_back({7, k - 1});
+    }
+    std::vector<core::ObjectRef> outputs;
+    if (k < 20) {
+      outputs.push_back({7, k + 1});
+    }
+    EXPECT_EQ(db.Inputs({7, k}), inputs) << k;
+    EXPECT_EQ(db.Outputs({7, k}), outputs) << k;
+    EXPECT_EQ(db.RecordsOf({7, k}).size(), k > 0 ? 1u : 0u) << k;
+  }
+  EXPECT_EQ(db.VersionsOf(7), all);
+  EXPECT_EQ(db.LatestVersionOf(7), 20u);
+  EXPECT_EQ(db.RecordCount(), 20u);
+  EXPECT_EQ(db.EdgeCount(), 20u);
+  EXPECT_EQ(db.RecordsOfAllVersions(7).size(), 20u);
+  // Each edge wrote two rows and each TYPE one, all keyed by pnode 7.
+  EXPECT_EQ(db.stamp(), 60u);
+  EXPECT_EQ(db.StampOf(7), 60u);
+  EXPECT_EQ(db.AllPnodes(), std::vector<core::PnodeId>{7});
+}
+
+// A node exists for every pnode a row names. One named only as the ancestor
+// of a surviving forward row keys no row here: it reads as known, unstamped,
+// unnamed and weightless, and so does a version an INPUT without a ref made
+// known.
+TEST(ProvDbTest, PnodesKnownWithoutRowsKeepVersionsOnly) {
+  ProvDb db;
+  db.Insert(Entry({10, 0}, core::Record::Name("/a")));
+  db.Insert(Entry({10, 0}, core::Record::Input({77, 3})));
+  // The range takes 77's reverse row; 10's forward row into it stays, and a
+  // restore rebuilds 77 from that row alone.
+  ASSERT_EQ(db.DeleteRange(77, 78), 1u);
+  auto restored = ProvDb::Deserialize(db.Serialize());
+  ASSERT_TRUE(restored.ok());
+  restored->Insert(Entry({30, 2}, core::Record::Of(core::Attr::kInput, {})));
+  EXPECT_EQ(restored->AllPnodes(), (std::vector<core::PnodeId>{10, 30, 77}));
+  EXPECT_EQ(restored->stats().objects, 3u);
+  EXPECT_EQ(restored->VersionsOf(77), std::vector<core::Version>{3});
+  EXPECT_EQ(restored->VersionsOf(30), std::vector<core::Version>{2});
+  EXPECT_EQ(restored->LatestVersionOf(77), 3u);
+  EXPECT_EQ(restored->StampOf(77), 0u);
+  EXPECT_EQ(restored->StampOf(30), 0u);
+  EXPECT_GT(restored->StampOf(10), 0u);
+  EXPECT_EQ(restored->NameOf(77), "");
+  EXPECT_EQ(restored->NameOf(30), "");
+  EXPECT_TRUE(restored->RecordsOfAllVersions(77).empty());
+  EXPECT_TRUE(restored->Outputs({77, 3}).empty());
+  using Weights = std::vector<std::pair<core::PnodeId, uint64_t>>;
+  EXPECT_EQ(restored->PnodeRowsInRange(0, 100),
+            (Weights{{10, 2}, {30, 0}, {77, 0}}));
+  EXPECT_EQ(restored->RowsInRange(0, 100), 2u);
+  // The restore stamped two rows; making a version known stamps nothing.
+  EXPECT_EQ(restored->stamp(), 2u);
+}
+
+TEST(ProvDbTest, DeleteRangeThenReinsertUnderANewName) {
+  ProvDb db;
+  db.Insert(Entry({10, 0}, core::Record::Name("/old")));
+  db.Insert(Entry({10, 1}, core::Record::Input({10, 0})));
+  db.Insert(Entry({10, 1}, core::Record::Name("/renamed")));
+  EXPECT_EQ(db.NameOf(10), "/renamed");  // the latest NAME row written
+  ASSERT_EQ(db.DeleteRange(10, 11), 4u);
+  db.Insert(Entry({10, 5}, core::Record::Name("/new")));
+  EXPECT_EQ(db.NameOf(10), "/new");
+  EXPECT_EQ(db.VersionsOf(10), std::vector<core::Version>{5});
+  EXPECT_EQ(db.RecordsOfAllVersions(10),
+            std::vector<core::Record>{core::Record::Name("/new")});
+  EXPECT_TRUE(db.RecordsOf({10, 0}).empty());
+  EXPECT_TRUE(db.Inputs({10, 1}).empty());
+  EXPECT_TRUE(db.Outputs({10, 0}).empty());
+  EXPECT_TRUE(db.PnodesByName("/old").empty());
+  EXPECT_TRUE(db.PnodesByName("/renamed").empty());
+  EXPECT_EQ(db.PnodesByName("/new"), std::vector<core::PnodeId>{10});
+  EXPECT_EQ(db.RecordCount(), 1u);
+  EXPECT_EQ(db.EdgeCount(), 0u);
+}
+
+// Pins every byte and number the write path leaves behind. A seeded mix
+// drives Insert, InsertUnique (earlier entries offered again included),
+// InsertCopy, same-pnode edges and DeleteRange churn, and at least one
+// DeleteRange must shrink the index store, so auto-compaction fired. The
+// digests cover the two store images (frame layout, tombstone order,
+// compaction points) and the export of the whole pnode space (its order):
+// migration, audit fingerprints and Table 3 read these bytes, so a mirror
+// or store rewrite must leave every value below as it is.
+TEST(ProvDbTest, StoreImageAndRangeExportArePinned) {
+  Rng rng(2026);
+  ProvDb db;
+  std::vector<lasagna::LogEntry> offered;
+  bool index_shrank = false;
+  auto any_ref = [&] {
+    return core::ObjectRef{1 + rng.NextBelow(300),
+                           static_cast<core::Version>(rng.NextBelow(4))};
+  };
+  for (int step = 1; step <= 6000; ++step) {
+    lasagna::LogEntry entry{any_ref(), {}};
+    switch (rng.NextBelow(6)) {
+      case 0:
+        entry.record =
+            core::Record::Name("/f" + std::to_string(rng.NextBelow(200)));
+        break;
+      case 1:
+        entry.record = core::Record::Type(rng.NextBool() ? "FILE" : "PROC");
+        break;
+      case 2:
+        entry.record = core::Record::Annotation("step", int64_t{step});
+        break;
+      case 3:
+        entry.record = core::Record::Input(any_ref());
+        break;
+      case 4:  // a same-pnode edge: the next version lists this one
+        entry.record = core::Record::Input(entry.subject);
+        ++entry.subject.version;
+        break;
+      default:  // an INPUT without a ref: the version is only made known
+        entry.record = core::Record::Of(core::Attr::kInput, {});
+        break;
+    }
+    uint64_t mode = rng.NextBelow(10);
+    if (mode < 3) {
+      db.Insert(entry);
+    } else if (mode < 6) {
+      db.InsertUnique(entry);
+    } else if (mode < 8) {
+      db.InsertCopy(entry);
+    } else {
+      db.InsertUnique(offered[rng.NextBelow(offered.size())]);
+    }
+    offered.push_back(entry);
+    if (step % 400 == 0) {
+      uint64_t before = db.stats().index_bytes;
+      core::PnodeId begin = 1 + rng.NextBelow(300);
+      db.DeleteRange(begin, begin + 40 + rng.NextBelow(120));
+      index_shrank = index_shrank || db.stats().index_bytes < before;
+    }
+  }
+  EXPECT_TRUE(index_shrank);
+
+  std::string payloads;
+  for (const lasagna::LogEntry& entry :
+       db.EntriesInRange(0, ~core::PnodeId{0})) {
+    lasagna::EncodeLogEntryPayload(&payloads, entry);
+  }
+  EXPECT_EQ(Md5::HexHash(db.Serialize()), "04543244159794196ac8172f074c0371");
+  EXPECT_EQ(Md5::HexHash(payloads), "a185cc7aa63cda71dded98efc88fce6d");
+  EXPECT_EQ(db.stamp(), 6226u);
+  // Every pnode's stamp, which also pins that an edge stamps its subject
+  // before its ancestor.
+  std::string stamps;
+  for (core::PnodeId pnode : db.AllPnodes()) {
+    stamps += std::to_string(pnode) + ":" + std::to_string(db.StampOf(pnode)) +
+              ",";
+  }
+  EXPECT_EQ(Md5::HexHash(stamps), "a7c49771b28b357120a659bd14168afe");
+  ProvDbStats stats = db.stats();
+  EXPECT_EQ(stats.records, 597u);
+  EXPECT_EQ(stats.edges, 380u);
+  EXPECT_EQ(stats.objects, 212u);
+  EXPECT_EQ(stats.db_bytes, 230246u);
+  EXPECT_EQ(stats.index_bytes, 247674u);
 }
 
 // ---- Waldo daemon ------------------------------------------------------------
