@@ -1,13 +1,18 @@
 // Micro-benchmarks (google-benchmark): analyzer throughput, record codec,
 // the byte kernels (MD5, CRC32, the workload name generator), log framing,
-// KV store, ProvDb's write path and bulk reads, and PQL query latency.
+// KV store, ProvDb's write path and bulk reads, the portal's root sets and
+// attribute reads, and PQL query latency.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/cluster/cluster.h"
+#include "src/cluster/federated_source.h"
 #include "src/core/analyzer.h"
 #include "src/lasagna/log_format.h"
 #include "src/pql/eval.h"
@@ -159,9 +164,9 @@ void BM_ProvDbInsertUnique(benchmark::State& state) {
 }
 BENCHMARK(BM_ProvDbInsertUnique)->Arg(4096);
 
-// One batched attribute RPC's shard-side work: all records of every version
-// of a 64-node frontier, spread over a 4096-file database.
-void BM_ProvDbRecordsOfAllVersionsMany(benchmark::State& state) {
+// One batched attribute RPC's shard-side work: the NAME values of every
+// version of a 64-node frontier, spread over a 4096-file database.
+void BM_ProvDbAttributeValuesMany(benchmark::State& state) {
   waldo::ProvDb db;
   for (const lasagna::LogEntry& entry : IngestStream(8192)) {
     db.Insert(entry);
@@ -171,12 +176,94 @@ void BM_ProvDbRecordsOfAllVersionsMany(benchmark::State& state) {
     frontier.push_back(pnode);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(db.RecordsOfAllVersionsMany(frontier));
+    benchmark::DoNotOptimize(db.AttributeValuesMany(frontier, "name"));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(frontier.size()));
 }
-BENCHMARK(BM_ProvDbRecordsOfAllVersionsMany);
+BENCHMARK(BM_ProvDbAttributeValuesMany);
+
+// The portal's side of a name lookup (cluster::FederatedSource): a 4-shard
+// cluster holding 512 files striped over the shards, each listing the file
+// before it as an input. Names run 200 bytes, so the name entries of the
+// 384 remote files (236 cache bytes each, 88 KiB) overflow a 64 KiB portal
+// cache and fit a 1 MiB one; the portal shard's own files are never cached.
+class PortalFixture {
+ public:
+  static PortalFixture& Get() {
+    static PortalFixture* fixture = new PortalFixture();
+    return *fixture;
+  }
+
+  cluster::ClusterCoordinator& cluster() { return cluster_; }
+  // The 512 files at their latest versions, in pnode order.
+  const std::vector<pql::Node>& files() const { return files_; }
+
+ private:
+  static cluster::ClusterOptions Options() {
+    cluster::ClusterOptions options;
+    options.shards = 4;
+    return options;
+  }
+
+  PortalFixture() : cluster_(Options()) {
+    std::string stem = "/" + std::string(195, 'f');
+    std::vector<core::ObjectRef> last;
+    for (int i = 0; i < 512; ++i) {
+      auto ref = cluster_.WriteWithLineage(
+          i % 4, stem + std::to_string(1000 + i), "payload", last);
+      if (!ref.ok()) {
+        std::abort();
+      }
+      last = {*ref};
+    }
+    if (!cluster_.Sync().ok()) {
+      std::abort();
+    }
+    files_ = cluster_.Source().RootSet("file");
+    if (files_.size() != 512) {
+      std::abort();
+    }
+  }
+
+  cluster::ClusterCoordinator cluster_;
+  std::vector<pql::Node> files_;
+};
+
+// The scatter-gather of one root set: every shard's owned FILE members at
+// their latest versions, gathered in pnode order. Root sets are never
+// cached.
+void BM_FederatedRootSet(benchmark::State& state) {
+  cluster::FederatedSource source = PortalFixture::Get().cluster().Source();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(source.RootSet("file"));
+  }
+  state.SetItemsProcessed(state.iterations() * 512);
+}
+BENCHMARK(BM_FederatedRootSet);
+
+// One batched name read over the 512 files through a portal cache of
+// `range(0)` bytes, warmed by one read first: with 1 MiB every remote node
+// hits; with 64 KiB the remote names overflow the cache, so each read
+// misses on about a quarter of them, reads those on their owners and
+// evicts the least recently used entries (`hit_ratio` reports the share).
+void BM_FederatedAttributeMany(benchmark::State& state) {
+  PortalFixture& fixture = PortalFixture::Get();
+  cluster::FederatedSource source = fixture.cluster().Source(
+      /*portal_shard=*/0, static_cast<size_t>(state.range(0)));
+  benchmark::DoNotOptimize(source.AttributeMany(fixture.files(), "name"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(source.AttributeMany(fixture.files(), "name"));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fixture.files().size()));
+  const cluster::FederatedStats& stats = source.stats();
+  state.counters["hit_ratio"] =
+      static_cast<double>(stats.cache_hits) /
+      static_cast<double>(std::max<uint64_t>(
+          1, stats.cache_hits + stats.cache_misses));
+}
+BENCHMARK(BM_FederatedAttributeMany)->Arg(1 << 20)->Arg(64 << 10);
 
 void BM_PqlAncestryQuery(benchmark::State& state) {
   // A chain of `range` object versions; query the full closure.

@@ -1,5 +1,6 @@
 #include "src/cluster/federated_source.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "src/core/object.h"
@@ -88,18 +89,31 @@ const waldo::ProvDb* FederatedSource::Route(core::PnodeId pnode,
   return shards_[shard];
 }
 
-pql::Node FederatedSource::Latest(const waldo::ProvDb& db,
-                                  core::PnodeId pnode) const {
-  return pql::Node{pnode, db.LatestVersionOf(pnode)};
-}
-
 // ---- Portal result cache ----------------------------------------------------
 
-void FederatedSource::EraseEntry(
-    std::map<CacheKey, CacheEntry>::iterator it) const {
-  cache_bytes_ -= it->second.bytes;
-  lru_.erase(it->second.lru);
-  cache_.erase(it);
+size_t FederatedSource::CacheKeyHash::operator()(const CacheKey& key) const {
+  constexpr uint64_t kMix = 0x9e3779b97f4a7c15ull;  // 2^64 / golden ratio
+  uint64_t h = key.pnode * kMix + key.version;
+  h = h * kMix + ((uint64_t{key.attr_id} << 1) | (key.inverse ? 1 : 0));
+  return static_cast<size_t>(h ^ (h >> 32));
+}
+
+void FederatedSource::Unlink(CacheSlot* slot) const {
+  CacheEntry& entry = slot->second;
+  (entry.newer != nullptr ? entry.newer->second.older : newest_) = entry.older;
+  (entry.older != nullptr ? entry.older->second.newer : oldest_) = entry.newer;
+  entry.newer = nullptr;
+  entry.older = nullptr;
+  cache_bytes_ -= entry.bytes;
+}
+
+void FederatedSource::LinkNewest(CacheSlot* slot) const {
+  CacheEntry& entry = slot->second;
+  entry.newer = nullptr;
+  entry.older = newest_;
+  (newest_ != nullptr ? newest_->second.newer : oldest_) = slot;
+  newest_ = slot;
+  cache_bytes_ += entry.bytes;
 }
 
 uint32_t FederatedSource::InternAttr(const std::string& attr) const {
@@ -116,44 +130,71 @@ const FederatedSource::CacheEntry* FederatedSource::CacheLookup(
   }
   // The one staleness rule: the entry must come from the pnode's current
   // owner, and no row keyed by the pnode may have changed there since.
-  const CacheEntry& entry = it->second;
+  CacheSlot* slot = &*it;
+  Unlink(slot);
+  const CacheEntry& entry = slot->second;
   if (entry.shard != owner ||
       shards_[owner]->StampOf(key.pnode) != entry.stamp) {
-    EraseEntry(it);
+    cache_.erase(it);
     ++stats_.cache_entries_invalidated;
     return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  LinkNewest(slot);
   ++stats_.cache_hits;
-  return &it->second;
+  return &entry;
 }
 
-void FederatedSource::CacheInsert(CacheKey key, CacheEntry entry,
+namespace {
+
+// `*to` = `from`, reusing `to`'s storage; an empty `from` releases it (an
+// entry holds edges or values, never both).
+template <typename T>
+void Refill(std::vector<T>* to, const std::vector<T>& from) {
+  if (from.empty()) {
+    std::vector<T>().swap(*to);
+  } else {
+    *to = from;
+  }
+}
+
+}  // namespace
+
+void FederatedSource::CacheInsert(const CacheKey& key,
+                                  const std::vector<pql::Node>& nodes,
+                                  const pql::ValueSet& values,
                                   int shard) const {
-  entry.shard = shard;
-  entry.stamp = shards_[shard]->StampOf(key.pnode);
-  entry.bytes = kPerNodeRequestBytes + sizeof(key.attr_id) +
-                kPerRowResponseBytes * entry.nodes.size() +
-                ValueSetBytes(entry.values);
-  if (entry.bytes > cache_capacity_) {
+  uint64_t bytes = kPerNodeRequestBytes + sizeof(key.attr_id) +
+                   kPerRowResponseBytes * nodes.size() + ValueSetBytes(values);
+  if (bytes > cache_capacity_) {
     return;  // would evict everything else without ever fitting
   }
-  auto [it, inserted] = cache_.try_emplace(key);
-  if (!inserted) {  // same node fetched twice in one frontier
-    cache_bytes_ -= it->second.bytes;
-    lru_.erase(it->second.lru);
+  CacheSlot* slot = nullptr;
+  if (auto it = cache_.find(key); it != cache_.end()) {
+    slot = &*it;  // same node fetched twice in one frontier
+    Unlink(slot);
   }
-  lru_.push_front(key);
-  entry.lru = lru_.begin();
-  cache_bytes_ += entry.bytes;
-  it->second = std::move(entry);
-  while (cache_bytes_ > cache_capacity_) {
-    auto victim = cache_.find(lru_.back());
-    cache_bytes_ -= victim->second.bytes;
-    cache_.erase(victim);
-    lru_.pop_back();
+  // Victims leave from the least recently used end; the last one's table
+  // node takes the new key.
+  decltype(cache_)::node_type spare;
+  while (cache_bytes_ + bytes > cache_capacity_) {
+    CacheSlot* victim = oldest_;
+    Unlink(victim);
+    spare = cache_.extract(victim->first);
     ++stats_.cache_evictions;
   }
+  if (slot == nullptr && spare) {
+    spare.key() = key;
+    slot = &*cache_.insert(std::move(spare)).position;
+  } else if (slot == nullptr) {
+    slot = &*cache_.try_emplace(key).first;
+  }
+  CacheEntry& entry = slot->second;
+  Refill(&entry.nodes, nodes);
+  Refill(&entry.values, values);
+  entry.bytes = bytes;
+  entry.shard = shard;
+  entry.stamp = shards_[shard]->StampOf(key.pnode);
+  LinkNewest(slot);
 }
 
 // ---- GraphSource surface ----------------------------------------------------
@@ -164,23 +205,19 @@ std::vector<pql::Node> FederatedSource::RootSet(const std::string& name) const {
   // Scatter-gather: ask every shard for its locally owned members of the
   // root set. Replicated foreign entries are skipped on the replica — the
   // owner reports them — so each object appears exactly once.
-  std::string type = name == "object" ? "" : pql::RootSetTypeName(name);
-  std::map<core::PnodeId, pql::Node> gathered;  // sorted by pnode
+  std::vector<pql::Node> out;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     obs::ScopedSpan rpc_span(Tracer(), "rpc.root_set",
                              static_cast<int>(shard));
-    const waldo::ProvDb* db = shards_[shard];
-    std::vector<core::PnodeId> pnodes =
-        name == "object" ? db->AllPnodes() : db->PnodesByType(type);
     uint64_t rows = 0;
-    for (core::PnodeId pnode : pnodes) {
+    for (const pql::Node& node : pql::RootMembers(*shards_[shard], name)) {
       // Report only pnodes this shard currently owns: replicated copies are
       // reported by the owner, and rows left by an out-migrated range are
       // reported by the range's new owner.
-      if (map_->OwnerOf(pnode) != static_cast<int>(shard)) {
+      if (map_->OwnerOf(node.pnode) != static_cast<int>(shard)) {
         continue;
       }
-      gathered.emplace(pnode, Latest(*db, pnode));
+      out.push_back(node);
       ++rows;
     }
     ChargeExchange(static_cast<int>(shard), kRpcHeaderBytes,
@@ -188,11 +225,8 @@ std::vector<pql::Node> FederatedSource::RootSet(const std::string& name) const {
   }
   hop_span.End();
   RecordHop(root_set_hop_ns_, hop_start);
-  std::vector<pql::Node> out;
-  out.reserve(gathered.size());
-  for (const auto& [pnode, node] : gathered) {
-    out.push_back(node);
-  }
+  // One owner per pnode, so the shards' ascending runs hold no duplicate.
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -203,16 +237,15 @@ std::vector<pql::ValueSet> FederatedSource::AttributeMany(
   obs::ScopedSpan hop_span(Tracer(), "query.attr_hop");
   std::string want = Lower(attr);
   uint32_t attr_id = InternAttr(want);  // once per hop, never per node
-  // Virtual and portal-local attributes answer immediately; cached remote
-  // ones fill from the cache; the rest group by owning shard.
-  std::map<int, std::vector<size_t>> by_shard;
+  bool virtual_pnode = want == "pnode";
+  bool virtual_version = want == "version";
+  // Virtual attributes answer immediately; cached remote ones fill from the
+  // cache; the rest group by owning shard.
+  std::vector<std::vector<size_t>> by_shard(shards_.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    if (want == "pnode") {
-      out[i].push_back(pql::Value(static_cast<int64_t>(nodes[i].pnode)));
-      continue;
-    }
-    if (want == "version") {
-      out[i].push_back(pql::Value(static_cast<int64_t>(nodes[i].version)));
+    if (virtual_pnode || virtual_version) {
+      out[i].push_back(pql::Value(static_cast<int64_t>(
+          virtual_pnode ? nodes[i].pnode : nodes[i].version)));
       continue;
     }
     int shard = map_->OwnerOf(nodes[i].pnode);
@@ -226,39 +259,37 @@ std::vector<pql::ValueSet> FederatedSource::AttributeMany(
     }
     by_shard[shard].push_back(i);
   }
-  for (const auto& [shard, indexes] : by_shard) {
-    obs::ScopedSpan rpc_span(Tracer(), "rpc.attribute", shard);
-    const waldo::ProvDb* db = shards_[shard];
-    std::vector<core::PnodeId> pnodes;
-    pnodes.reserve(indexes.size());
-    for (size_t i : indexes) {
-      pnodes.push_back(nodes[i].pnode);
+  for (int shard = 0; shard < static_cast<int>(by_shard.size()); ++shard) {
+    const std::vector<size_t>& indexes = by_shard[shard];
+    if (indexes.empty()) {
+      continue;
     }
-    // One bulk RPC per shard: the owner filters to the requested attribute
-    // and returns one value set per node. The serve span parents to this
-    // rpc span through the propagated context, the trace-level record of
-    // the request crossing the simulated shard boundary.
+    obs::ScopedSpan rpc_span(Tracer(), "rpc.attribute", shard);
+    std::vector<pql::Node> asked;
+    asked.reserve(indexes.size());
+    for (size_t i : indexes) {
+      asked.push_back(nodes[i]);
+    }
+    // One bulk RPC per shard: the owner reads only the requested
+    // attribute's rows and returns one value set per node. The serve span
+    // parents to this rpc span through the propagated context, the
+    // trace-level record of the request crossing the simulated shard
+    // boundary.
     obs::TraceCollector* tracer = Tracer();
     obs::ScopedSpan serve_span(tracer, tracer->CurrentContext(),
                                "shard.serve_attribute", shard);
-    auto records = db->RecordsOfAllVersionsMany(pnodes);
+    std::vector<pql::ValueSet> values =
+        pql::AttributeSets(*shards_[shard], asked, want);
     serve_span.End();
     uint64_t response_bytes = kPerRowResponseBytes * indexes.size();
     for (size_t j = 0; j < indexes.size(); ++j) {
-      pql::ValueSet values;
-      for (const core::Record& record : records[j]) {
-        if (Lower(pql::AttrQueryName(record)) == want) {
-          values.push_back(pql::Value::FromRecordValue(record.value));
-        }
-      }
-      pql::Normalize(&values);
-      response_bytes += ValueSetBytes(values);
+      response_bytes += ValueSetBytes(values[j]);
       if (shard != portal_shard_) {
         ++stats_.cache_misses;
-        CacheInsert(CacheKey{pnodes[j], 0, false, attr_id},
-                    CacheEntry{{}, values, 0, 0, 0, {}}, shard);
+        CacheInsert(CacheKey{asked[j].pnode, 0, false, attr_id}, {},
+                    values[j], shard);
       }
-      out[indexes[j]] = std::move(values);
+      out[indexes[j]] = std::move(values[j]);
     }
     ChargeExchange(shard,
                    kRpcHeaderBytes + kPerNodeRequestBytes * indexes.size(),
@@ -283,7 +314,7 @@ std::vector<std::vector<pql::Node>> FederatedSource::FollowMany(
   // the ancestor's owner (the ingest queue replicated them there). Either
   // way the node's own shard has the answer, so the frontier partitions
   // cleanly by owner: one RPC per shard per hop.
-  std::map<int, std::vector<size_t>> by_shard;
+  std::vector<std::vector<size_t>> by_shard(shards_.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
     int shard = map_->OwnerOf(nodes[i].pnode);
     if (shard < 0 || static_cast<size_t>(shard) >= shards_.size()) {
@@ -296,7 +327,11 @@ std::vector<std::vector<pql::Node>> FederatedSource::FollowMany(
     }
     by_shard[shard].push_back(i);
   }
-  for (const auto& [shard, indexes] : by_shard) {
+  for (int shard = 0; shard < static_cast<int>(by_shard.size()); ++shard) {
+    const std::vector<size_t>& indexes = by_shard[shard];
+    if (indexes.empty()) {
+      continue;
+    }
     obs::ScopedSpan rpc_span(Tracer(), "rpc.follow", shard);
     const waldo::ProvDb* db = shards_[shard];
     std::vector<core::ObjectRef> refs;
@@ -316,9 +351,8 @@ std::vector<std::vector<pql::Node>> FederatedSource::FollowMany(
       rows += results[j].size();
       if (shard != portal_shard_) {
         ++stats_.cache_misses;
-        CacheInsert(
-            CacheKey{refs[j].pnode, refs[j].version, inverse, 0},
-            CacheEntry{results[j], {}, 0, 0, 0, {}}, shard);
+        CacheInsert(CacheKey{refs[j].pnode, refs[j].version, inverse, 0},
+                    results[j], {}, shard);
       }
       out[indexes[j]] = std::move(results[j]);
     }

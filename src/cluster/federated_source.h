@@ -9,7 +9,10 @@
 // routing correctly after it. Operations against a remote shard charge
 // sim::Network round trips, so PQL queries spanning shards accumulate
 // realistic network cost. Root-set construction is a scatter-gather over
-// every shard.
+// every shard: each reports the members it owns, and the portal sorts them
+// into one vector in pnode order. A node's attributes are read on its owner
+// through ProvDb::AttributeValuesMany, which keeps only the asked
+// attribute's rows, by the one rule pql::ProvDbSource reads with too.
 //
 // Two mechanisms keep a closure query from paying one round trip per node:
 //
@@ -20,7 +23,10 @@
 //
 //   * A portal result cache: a byte-bounded LRU over per-node edge lists
 //     and attribute sets, so overlapping traversals fetch each node once.
-//     Each entry remembers the shard it was filled from and that shard's
+//     It is one hash table keyed by (pnode, version, direction, attribute);
+//     each entry carries its own links in the LRU order, and an eviction's
+//     table node is reused for the entry that caused it. Each entry
+//     remembers the shard it was filled from and that shard's
 //     change stamp for the entry's pnode (ProvDb::StampOf). One rule decides
 //     staleness, on lookup: an entry is served only if its shard is still
 //     the pnode's owner under the map and the pnode's stamp there is
@@ -37,9 +43,10 @@
 // every shard's entries.
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/shard_map.h"
@@ -80,9 +87,10 @@ class FederatedSource : public pql::GraphSource {
                   const ShardMap* map, int portal_shard, size_t cache_bytes,
                   obs::Observability* obs);
 
-  // Movable but not copyable: cache entries hold iterators into lru_, which
-  // survive a move (std::list/map moves preserve them) but would alias the
-  // original's list in a copy.
+  // Movable but not copyable: cache entries link to each other by pointers
+  // to cache_'s elements, which a move hands over in place (an
+  // unordered_map's move keeps its nodes), but a copy's links would point
+  // into the original.
   FederatedSource(FederatedSource&&) = default;
   FederatedSource& operator=(FederatedSource&&) = default;
   FederatedSource(const FederatedSource&) = delete;
@@ -119,8 +127,14 @@ class FederatedSource : public pql::GraphSource {
     core::Version version = 0;  // 0 for attribute entries (object-level)
     bool inverse = false;
     uint32_t attr_id = 0;  // 0 for edge entries; interned attr otherwise
-    auto operator<=>(const CacheKey&) const = default;
+    bool operator==(const CacheKey&) const = default;
   };
+  struct CacheKeyHash {
+    size_t operator()(const CacheKey& key) const;
+  };
+  struct CacheEntry;
+  // One element of the cache table: an entry under its key.
+  using CacheSlot = std::pair<const CacheKey, CacheEntry>;
   struct CacheEntry {
     std::vector<pql::Node> nodes;
     pql::ValueSet values;
@@ -131,7 +145,9 @@ class FederatedSource : public pql::GraphSource {
     // allocation-free, and local to the entry's own pnode.
     int shard = 0;
     uint64_t stamp = 0;
-    std::list<CacheKey>::iterator lru;
+    // Neighbours in the LRU order: `newer` was used more recently.
+    CacheSlot* newer = nullptr;
+    CacheSlot* older = nullptr;
   };
 
   // Database owning `pnode` per the ShardMap, charging a round trip when
@@ -142,8 +158,6 @@ class FederatedSource : public pql::GraphSource {
   // when remote, free when it is the portal).
   void ChargeExchange(int shard, uint64_t request_bytes,
                       uint64_t response_bytes) const;
-  // Latest version node of `pnode` in its owner's database.
-  pql::Node Latest(const waldo::ProvDb& db, core::PnodeId pnode) const;
 
   obs::TraceCollector* Tracer() const { return &obs_->trace(); }
   // Record one hop's sim-clock latency into its "query.hop_ns"{op=...}
@@ -157,8 +171,15 @@ class FederatedSource : public pql::GraphSource {
   // current owner under the map) and the pnode's stamp on `owner` has not
   // moved since; otherwise drops any entry and returns null.
   const CacheEntry* CacheLookup(const CacheKey& key, int owner) const;
-  void CacheInsert(CacheKey key, CacheEntry entry, int shard) const;
-  void EraseEntry(std::map<CacheKey, CacheEntry>::iterator it) const;
+  // Caches `nodes` (an edge entry) or `values` (an attribute entry) for
+  // `key`, as read from `shard`: replaces any entry for `key`, then evicts
+  // from the least recently used end until the new entry fits.
+  void CacheInsert(const CacheKey& key, const std::vector<pql::Node>& nodes,
+                   const pql::ValueSet& values, int shard) const;
+  // Take `slot` out of / put it at the most recently used end of the LRU
+  // order; cache_bytes_ counts exactly the linked entries.
+  void Unlink(CacheSlot* slot) const;
+  void LinkNewest(CacheSlot* slot) const;
 
   std::vector<const waldo::ProvDb*> shards_;
   sim::Network* net_;
@@ -172,8 +193,10 @@ class FederatedSource : public pql::GraphSource {
   obs::Histogram* attribute_hop_ns_ = nullptr;
   obs::Histogram* frontier_nodes_ = nullptr;
   mutable FederatedStats stats_;
-  mutable std::map<CacheKey, CacheEntry> cache_;
-  mutable std::list<CacheKey> lru_;  // front = most recently used
+  mutable std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
+  // The ends of the LRU order (null when the cache is empty).
+  mutable CacheSlot* newest_ = nullptr;
+  mutable CacheSlot* oldest_ = nullptr;
   mutable std::map<std::string, uint32_t> attr_ids_;  // interned attr names
   mutable size_t cache_bytes_ = 0;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <set>
+#include <span>
+#include <unordered_set>
 
 #include "src/pql/parser.h"
 #include "src/util/strings.h"
@@ -11,6 +13,13 @@ namespace pass::pql {
 namespace {
 
 using Env = std::map<std::string, Node>;
+
+struct NodeHash {
+  size_t operator()(const Node& node) const {
+    uint64_t h = node.pnode * 0x9e3779b97f4a7c15ull + node.version;
+    return static_cast<size_t>(h ^ (h >> 32));
+  }
+};
 
 // Appends the top-level `and`-conjuncts of `expr`, in written order.
 void AppendConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
@@ -125,8 +134,9 @@ class Evaluator {
   // Expand one link step (with closure) from a node set.
   Result<std::vector<Node>> ExpandStep(const std::vector<Node>& from,
                                        const PathStep& step);
-  // Nodes denoted by a path (all steps must be links).
-  Result<std::vector<Node>> PathNodes(const PathExpr& path, const Env& env);
+  // Nodes denoted by the first `links` steps of a path (all must be links).
+  Result<std::vector<Node>> PathNodes(const PathExpr& path, size_t links,
+                                      const Env& env);
   // Values denoted by a path (may end in one attribute step).
   Result<ValueSet> PathValues(const PathExpr& path, const Env& env);
   Result<ValueSet> EvalExpr(const Expr& expr, const Env& env);
@@ -482,9 +492,9 @@ Result<std::vector<Node>> Evaluator::ExpandStep(const std::vector<Node>& from,
     case Closure::kStar:
     case Closure::kPlus: {
       // Level-synchronous BFS: each iteration expands the whole frontier in
-      // one batched call.
-      std::set<Node> seen;
-      std::set<Node> visited(from.begin(), from.end());
+      // one batched call. The first frontier is `from` in node order; later
+      // ones list nodes as they are discovered.
+      std::unordered_set<Node, NodeHash> seen;
       if (step.closure == Closure::kStar) {
         for (const Node& node : from) {
           if (seen.insert(node).second) {
@@ -492,7 +502,12 @@ Result<std::vector<Node>> Evaluator::ExpandStep(const std::vector<Node>& from,
           }
         }
       }
-      std::vector<Node> frontier(visited.begin(), visited.end());
+      std::vector<Node> frontier = from;
+      std::sort(frontier.begin(), frontier.end());
+      frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                     frontier.end());
+      std::unordered_set<Node, NodeHash> visited(frontier.begin(),
+                                                 frontier.end());
       while (!frontier.empty()) {
         std::vector<Node> next_frontier;
         for (const auto& nexts : source_->FollowMany(frontier, step.name,
@@ -521,7 +536,7 @@ Result<std::vector<Node>> Evaluator::ExpandStep(const std::vector<Node>& from,
 }
 
 Result<std::vector<Node>> Evaluator::PathNodes(const PathExpr& path,
-                                               const Env& env) {
+                                               size_t links, const Env& env) {
   std::vector<Node> nodes;
   if (path.from_provenance) {
     nodes = source_->RootSet(path.root_set);
@@ -532,7 +547,7 @@ Result<std::vector<Node>> Evaluator::PathNodes(const PathExpr& path,
     }
     nodes.push_back(it->second);
   }
-  for (const PathStep& step : path.steps) {
+  for (const PathStep& step : std::span(path.steps).first(links)) {
     if (!source_->IsLink(step.name)) {
       return InvalidArgument("'" + step.name +
                              "' is not a link (attribute used in a path "
@@ -545,22 +560,21 @@ Result<std::vector<Node>> Evaluator::PathNodes(const PathExpr& path,
 
 Result<ValueSet> Evaluator::PathValues(const PathExpr& path, const Env& env) {
   // Split: leading link steps, optional trailing attribute step.
-  PathExpr prefix = path;
-  std::string attr;
+  const std::string* attr = nullptr;
   if (!path.steps.empty() && !source_->IsLink(path.steps.back().name)) {
-    attr = path.steps.back().name;
-    prefix.steps.pop_back();
+    attr = &path.steps.back().name;
   }
-  PASS_ASSIGN_OR_RETURN(std::vector<Node> nodes, PathNodes(prefix, env));
+  size_t links = path.steps.size() - (attr == nullptr ? 0 : 1);
+  PASS_ASSIGN_OR_RETURN(std::vector<Node> nodes, PathNodes(path, links, env));
   ValueSet out;
-  if (attr.empty()) {
+  if (attr == nullptr) {
     out.reserve(nodes.size());
     for (const Node& node : nodes) {
       out.push_back(Value(node));
     }
     return out;
   }
-  for (const ValueSet& values : source_->AttributeMany(nodes, attr)) {
+  for (const ValueSet& values : source_->AttributeMany(nodes, *attr)) {
     out.insert(out.end(), values.begin(), values.end());
   }
   Normalize(&out);
@@ -701,7 +715,9 @@ Result<QueryResult> Evaluator::EvalQuery(const Query& query, const Env& outer,
     }
     std::vector<Env> next;
     for (const Env& env : envs) {
-      PASS_ASSIGN_OR_RETURN(std::vector<Node> nodes, PathNodes(item.path, env));
+      PASS_ASSIGN_OR_RETURN(
+          std::vector<Node> nodes,
+          PathNodes(item.path, item.path.steps.size(), env));
       if (&item == &query.froms.front() && !plan.root_names.empty()) {
         nodes = RootsNamed(nodes, plan.root_names);
       }

@@ -1,39 +1,11 @@
 #include "src/pql/provdb_source.h"
 
 #include <algorithm>
+#include <cctype>
 
 #include "src/util/strings.h"
 
 namespace pass::pql {
-
-std::string AttrQueryName(const core::Record& record) {
-  switch (record.attr) {
-    case core::Attr::kName:
-      return "name";
-    case core::Attr::kType:
-      return "type";
-    case core::Attr::kPid:
-      return "pid";
-    case core::Attr::kArgv:
-      return "argv";
-    case core::Attr::kEnv:
-      return "env";
-    case core::Attr::kFreeze:
-      return "freeze";
-    case core::Attr::kParams:
-      return "params";
-    case core::Attr::kVisitedUrl:
-      return "visited_url";
-    case core::Attr::kFileUrl:
-      return "file_url";
-    case core::Attr::kCurrentUrl:
-      return "current_url";
-    case core::Attr::kAnnotation:
-      return record.key;
-    default:
-      return std::string(core::AttrName(record.attr));
-  }
-}
 
 std::string RootSetTypeName(const std::string& name) {
   if (name == "process") {
@@ -46,68 +18,55 @@ std::string RootSetTypeName(const std::string& name) {
   return type;
 }
 
-namespace {
+std::vector<Node> RootMembers(const waldo::ProvDb& db,
+                              const std::string& name) {
+  // Root sets are TYPE-based: file -> FILE, process -> PROC, etc.
+  return name == "object" ? db.LatestOfAll()
+                          : db.LatestOfType(RootSetTypeName(name));
+}
 
-std::string Lower(std::string s) {
-  for (char& c : s) {
+std::vector<ValueSet> AttributeSets(const waldo::ProvDb& db,
+                                    const std::vector<Node>& nodes,
+                                    const std::string& attr) {
+  std::vector<ValueSet> out(nodes.size());
+  std::string want = attr;
+  for (char& c : want) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  return s;
-}
-
-}  // namespace
-
-Node ProvDbSource::Latest(core::PnodeId pnode) const {
-  return Node{pnode, db_->LatestVersionOf(pnode)};
-}
-
-std::vector<Node> ProvDbSource::RootSet(const std::string& name) const {
-  std::vector<Node> out;
-  if (name == "object") {
-    for (core::PnodeId pnode : db_->AllPnodes()) {
-      out.push_back(Latest(pnode));
+  if (want == "pnode" || want == "version") {
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      out[i].push_back(Value(static_cast<int64_t>(
+          want == "pnode" ? nodes[i].pnode : nodes[i].version)));
     }
     return out;
   }
-  // Root sets are TYPE-based: file -> FILE, process -> PROC, etc.
-  for (core::PnodeId pnode : db_->PnodesByType(RootSetTypeName(name))) {
-    out.push_back(Latest(pnode));
-  }
-  return out;
-}
-
-std::vector<ValueSet> ProvDbSource::AttributeMany(
-    const std::vector<Node>& nodes, const std::string& attr) const {
-  std::vector<ValueSet> out(nodes.size());
-  std::string want = Lower(attr);
-  std::vector<size_t> lookups;  // indexes needing a record scan
-  std::vector<core::PnodeId> pnodes;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (want == "pnode") {
-      out[i].push_back(Value(static_cast<int64_t>(nodes[i].pnode)));
-      continue;
-    }
-    if (want == "version") {
-      out[i].push_back(Value(static_cast<int64_t>(nodes[i].version)));
-      continue;
-    }
-    lookups.push_back(i);
-    pnodes.push_back(nodes[i].pnode);
-  }
   // Object-level attributes: union across versions (NAME/TYPE are recorded
-  // once per object, ancestry is per version), fetched through the bulk
-  // lookup the federated shard handler also uses.
-  auto records = db_->RecordsOfAllVersionsMany(pnodes);
-  for (size_t j = 0; j < lookups.size(); ++j) {
-    ValueSet& values = out[lookups[j]];
-    for (const core::Record& record : records[j]) {
-      if (Lower(AttrQueryName(record)) == want) {
-        values.push_back(Value::FromRecordValue(record.value));
-      }
+  // once per object, ancestry is per version).
+  std::vector<core::PnodeId> pnodes;
+  pnodes.reserve(nodes.size());
+  for (const Node& node : nodes) {
+    pnodes.push_back(node.pnode);
+  }
+  std::vector<std::vector<const core::Value*>> rows =
+      db.AttributeValuesMany(pnodes, want);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    ValueSet& values = out[i];
+    values.reserve(rows[i].size());
+    for (const core::Value* value : rows[i]) {
+      values.push_back(Value::FromRecordValue(*value));
     }
     Normalize(&values);
   }
   return out;
+}
+
+std::vector<Node> ProvDbSource::RootSet(const std::string& name) const {
+  return RootMembers(*db_, name);
+}
+
+std::vector<ValueSet> ProvDbSource::AttributeMany(
+    const std::vector<Node>& nodes, const std::string& attr) const {
+  return AttributeSets(*db_, nodes, attr);
 }
 
 std::vector<std::vector<Node>> ProvDbSource::FollowMany(

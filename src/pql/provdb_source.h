@@ -11,15 +11,24 @@
 
 namespace pass::pql {
 
-// Attribute name (lowercase, query-side) for a record attr — the mapping
-// shared by every GraphSource over provenance records ("name", "type",
-// "pid", annotation keys, ...).
-std::string AttrQueryName(const core::Record& record);
-
 // TYPE attribute value backing a root-set name ("process" -> "PROC",
 // otherwise uppercased). "object" is not type-backed and never reaches
 // this mapping.
 std::string RootSetTypeName(const std::string& name);
+
+// The two reads every GraphSource over provenance databases shares, so a
+// federated source answers exactly what one database would:
+//
+// The members of root set `name` in `db` at their latest versions,
+// ascending by pnode: every object for "object", otherwise the objects
+// whose TYPE is RootSetTypeName(name).
+std::vector<Node> RootMembers(const waldo::ProvDb& db, const std::string& name);
+// The value set of each node's attribute `attr`: the virtual attributes
+// "pnode" and "version" (any case) come from the node itself, and every
+// other name from the pnode's rows in `db` (ProvDb::AttributeValuesMany).
+std::vector<ValueSet> AttributeSets(const waldo::ProvDb& db,
+                                    const std::vector<Node>& nodes,
+                                    const std::string& attr);
 
 class ProvDbSource : public GraphSource {
  public:
@@ -35,9 +44,6 @@ class ProvDbSource : public GraphSource {
   std::string NodeLabel(const Node& node) const override;
 
  private:
-  // Latest version node of a pnode.
-  Node Latest(core::PnodeId pnode) const;
-
   const waldo::ProvDb* db_;
 };
 

@@ -1,11 +1,12 @@
 #include "src/waldo/provdb.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
+#include <iterator>
 
 #include "src/util/logging.h"
 #include "src/util/md5.h"
-#include "src/util/strings.h"
 
 namespace pass::waldo {
 namespace {
@@ -44,6 +45,78 @@ std::string EncodeRef(const core::ObjectRef& ref) {
   core::EncodeObjectRef(&out, ref);
   return out;
 }
+
+// The index store key of a name ('n') or type ('t') row: "<prefix>/<text>",
+// every byte of `text` included.
+std::string IndexKey(char prefix, std::string_view text) {
+  std::string key;
+  key.reserve(2 + text.size());
+  key += prefix;
+  key += '/';
+  key += text;
+  return key;
+}
+
+char LowerAscii(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+}
+
+// The attribute names of the row kinds, as queries spell them. An
+// annotation row answers to its key instead, and a kind missing here to
+// "unknown".
+constexpr std::pair<core::Attr, std::string_view> kKindNames[] = {
+    {core::Attr::kInput, "input"},
+    {core::Attr::kName, "name"},
+    {core::Attr::kType, "type"},
+    {core::Attr::kArgv, "argv"},
+    {core::Attr::kEnv, "env"},
+    {core::Attr::kPid, "pid"},
+    {core::Attr::kFreeze, "freeze"},
+    {core::Attr::kBeginTxn, "begintxn"},
+    {core::Attr::kEndTxn, "endtxn"},
+    {core::Attr::kParams, "params"},
+    {core::Attr::kVisitedUrl, "visited_url"},
+    {core::Attr::kFileUrl, "file_url"},
+    {core::Attr::kCurrentUrl, "current_url"},
+};
+
+bool Named(core::Attr kind) {
+  return std::any_of(std::begin(kKindNames), std::end(kKindNames),
+                     [&](const auto& entry) { return entry.first == kind; });
+}
+
+// The rows that answer one attribute name (see AttributeValuesMany),
+// resolved once from the name: at most one named kind, or every unnamed
+// kind for "unknown", plus the annotation rows keyed by the name in any
+// case.
+class AttrMatch {
+ public:
+  explicit AttrMatch(std::string_view attr) : want_(attr) {
+    for (char& c : want_) {
+      c = LowerAscii(c);
+    }
+    for (const auto& [kind, name] : kKindNames) {
+      if (name == want_) {
+        kind_ = kind;
+      }
+    }
+    unnamed_ = want_ == "unknown";
+  }
+
+  bool Answers(const core::Record& row) const {
+    if (row.attr == core::Attr::kAnnotation) {
+      return std::equal(row.key.begin(), row.key.end(), want_.begin(),
+                        want_.end(),
+                        [](char a, char b) { return LowerAscii(a) == b; });
+    }
+    return unnamed_ ? !Named(row.attr) : row.attr == kind_;
+  }
+
+ private:
+  std::string want_;  // the asked name, lowercase
+  core::Attr kind_ = core::Attr::kAnnotation;  // kAnnotation: no named kind
+  bool unnamed_ = false;
+};
 
 // Orders a node's versions for std::lower_bound.
 constexpr auto kVersionBefore = [](const auto& rows, core::Version version) {
@@ -129,9 +202,9 @@ void ProvDb::WriteAttr(Slot slot, const core::ObjectRef& subject,
   records_.Put(RefKey('r', subject), encoded);
   if (const auto* text = std::get_if<std::string>(&record.value)) {
     if (record.attr == core::Attr::kName) {
-      indexes_.Put("n/" + *text, EncodeRef(subject));
+      indexes_.Put(IndexKey('n', *text), EncodeRef(subject));
     } else if (record.attr == core::Attr::kType) {
-      indexes_.Put("t/" + *text, EncodeRef(subject));
+      indexes_.Put(IndexKey('t', *text), EncodeRef(subject));
     }
   }
   MirrorAttr(slot, subject.pnode, record);
@@ -292,12 +365,52 @@ std::vector<std::vector<core::ObjectRef>> ProvDb::OutputsMany(
   return out;
 }
 
-std::vector<std::vector<core::Record>> ProvDb::RecordsOfAllVersionsMany(
-    const std::vector<core::PnodeId>& pnodes) const {
-  std::vector<std::vector<core::Record>> out;
-  out.reserve(pnodes.size());
-  for (core::PnodeId pnode : pnodes) {
-    out.push_back(RecordsOfAllVersions(pnode));
+std::vector<std::vector<const core::Value*>> ProvDb::AttributeValuesMany(
+    const std::vector<core::PnodeId>& pnodes, std::string_view attr) const {
+  const AttrMatch match(attr);
+  std::vector<std::vector<const core::Value*>> out(pnodes.size());
+  for (size_t i = 0; i < pnodes.size(); ++i) {
+    auto it = nodes_.find(pnodes[i]);
+    if (it == nodes_.end()) {
+      continue;
+    }
+    for (const VersionRows& rows : it->second.versions) {
+      for (const core::Record& record : rows.attrs) {
+        if (match.Answers(record)) {
+          out[i].push_back(&record.value);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<core::ObjectRef> ProvDb::LatestOfAll() const {
+  std::vector<core::ObjectRef> out;
+  out.reserve(nodes_.size());
+  for (const auto& [pnode, node] : nodes_) {
+    out.push_back({pnode, node.Latest()});
+  }
+  return out;
+}
+
+std::vector<core::ObjectRef> ProvDb::LatestOfType(std::string_view type) const {
+  std::vector<core::ObjectRef> out;
+  auto it = by_type_.find(std::string(type));
+  if (it == by_type_.end()) {
+    return out;
+  }
+  out.reserve(it->second.size());
+  // Members and nodes both ascend by pnode, so one forward pass over the
+  // nodes meets every member's node; a gap of more than a few nodes is
+  // crossed by search instead.
+  auto node = nodes_.begin();
+  for (core::PnodeId pnode : it->second) {
+    for (int step = 0; node != nodes_.end() && node->first < pnode; ++step) {
+      node = step < 4 ? std::next(node) : nodes_.lower_bound(pnode);
+    }
+    bool found = node != nodes_.end() && node->first == pnode;
+    out.push_back({pnode, found ? node->second.Latest() : 0});
   }
   return out;
 }
@@ -317,10 +430,7 @@ std::vector<core::Version> ProvDb::VersionsOf(core::PnodeId pnode) const {
 
 core::Version ProvDb::LatestVersionOf(core::PnodeId pnode) const {
   auto it = nodes_.find(pnode);
-  if (it == nodes_.end() || it->second.versions.empty()) {
-    return 0;
-  }
-  return it->second.versions.back().version;
+  return it == nodes_.end() ? 0 : it->second.Latest();
 }
 
 std::vector<core::PnodeId> ProvDb::PnodesByName(std::string_view name) const {
@@ -520,7 +630,7 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
       }
       std::set<core::PnodeId>& pnodes = it->second;
       pnodes.erase(pnodes.lower_bound(begin), pnodes.upper_bound(end - 1));
-      std::string key = StrFormat("%c/%s", prefix, name.c_str());
+      std::string key = IndexKey(prefix, name);
       indexes_.Delete(key);
       for (core::PnodeId pnode : pnodes) {
         indexes_.Put(key, EncodeRef({pnode, LatestVersionOf(pnode)}));

@@ -84,16 +84,32 @@ class ProvDb {
   std::string NameOf(core::PnodeId pnode) const;
   std::vector<core::PnodeId> AllPnodes() const;
 
-  // ---- Bulk query surface (used by batched federated RPCs) ----------------
-  // Each call is the shard-side handler for one frontier-shipping RPC from
-  // cluster::FederatedSource: a whole frontier's worth of lookups answered
-  // in one exchange. Results align positionally with the request vector.
+  // ---- Bulk query surface (used by PQL sources and batched federated RPCs) -
+  // Each call answers a whole frontier or root set in one exchange: it is
+  // the shard-side handler of one frontier-shipping RPC from
+  // cluster::FederatedSource, and pql::ProvDbSource reads through the same
+  // calls. Per-node results align positionally with the request vector.
   std::vector<std::vector<core::ObjectRef>> InputsMany(
       const std::vector<core::ObjectRef>& refs) const;
   std::vector<std::vector<core::ObjectRef>> OutputsMany(
       const std::vector<core::ObjectRef>& refs) const;
-  std::vector<std::vector<core::Record>> RecordsOfAllVersionsMany(
-      const std::vector<core::PnodeId>& pnodes) const;
+  // The values of attribute `attr` on each pnode: its rows across every
+  // version, oldest version first and each version's rows in insertion
+  // order, keeping only the rows that answer `attr`. One rule, resolved
+  // once per call, decides which rows answer: a row answers when its
+  // attribute name equals `attr` ignoring ASCII case. A row's name is its
+  // key for an annotation, and otherwise its kind's name as queries spell
+  // it ("name", "type", "pid", "argv", "env", "freeze", "params",
+  // "visited_url", "file_url", "current_url", "input", "begintxn",
+  // "endtxn"; "unknown" for a kind core::AttrName does not name). The
+  // pointers address this database's rows and stay valid until its next
+  // write.
+  std::vector<std::vector<const core::Value*>> AttributeValuesMany(
+      const std::vector<core::PnodeId>& pnodes, std::string_view attr) const;
+  // Root-set members at their latest versions, ascending by pnode: every
+  // pnode (AllPnodes), or the pnodes with a TYPE row `type` (PnodesByType).
+  std::vector<core::ObjectRef> LatestOfAll() const;
+  std::vector<core::ObjectRef> LatestOfType(std::string_view type) const;
 
   // ---- Range surface (used by cluster migration / rebalancing) ------------
   // Insert exactly the rows of `entry` that are missing. An INPUT edge can
@@ -229,6 +245,10 @@ class ProvDb {
     // can move every version's rows, so it invalidates references into the
     // node's versions.
     VersionRows& Rows(core::Version version);
+    // The newest version (0 when the node holds none).
+    core::Version Latest() const {
+      return versions.empty() ? 0 : versions.back().version;
+    }
   };
   // Where one row lands: the node of the pnode keying it and that version's
   // rows, looked up once per row.

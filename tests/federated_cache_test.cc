@@ -17,6 +17,8 @@
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
 #include "src/pql/eval.h"
+#include "src/pql/provdb_source.h"
+#include "src/waldo/provdb.h"
 
 // Binary-wide counting allocator: the zero-alloc probe test asserts the
 // warm cache-lookup path never reaches operator new. malloc stays the
@@ -451,6 +453,162 @@ TEST(FederatedCacheTest, WarmCacheProbesAreAllocationFree) {
   }
   EXPECT_EQ(g_heap_allocs, allocs_before);
   EXPECT_GT(source.stats().cache_hits, hits_before);
+}
+
+// The cache evicts in least-recently-used order: a hit makes an entry the
+// newest, and an insert into a full cache evicts the oldest. A node asked
+// twice in one frontier takes one entry.
+TEST(FederatedCacheTest, EvictsLeastRecentlyUsedEntryFirst) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  std::vector<pql::Node> files;
+  for (int i = 0; i < 6; ++i) {
+    // Shard 1: remote to a portal on shard 0, so every name is cached.
+    auto ref = cluster.WriteWithLineage(1, "/e" + std::to_string(i), "x", {});
+    ASSERT_TRUE(ref.ok());
+    files.push_back(*ref);
+  }
+  ASSERT_TRUE(cluster.Sync().ok());
+  auto name_of = [](FederatedSource& source, const pql::Node& node) {
+    pql::ValueSet values = source.Attribute(node, "name");
+    return values.size() == 1 ? values[0].ToString() : std::string();
+  };
+
+  // Every name is 3 bytes, so every entry takes the same bytes.
+  FederatedSource sizing = cluster.Source(/*portal_shard=*/0);
+  ASSERT_EQ(name_of(sizing, files[0]), "/e0");
+  const size_t entry_bytes = sizing.cache_bytes_used();
+  ASSERT_GT(entry_bytes, 0u);
+
+  const size_t k = 4;
+  FederatedSource source = cluster.Source(/*portal_shard=*/0, k * entry_bytes);
+  for (size_t i = 0; i < k; ++i) {  // oldest first: /e0, /e1, /e2, /e3
+    ASSERT_EQ(name_of(source, files[i]), "/e" + std::to_string(i));
+  }
+  EXPECT_EQ(source.cache_bytes_used(), k * entry_bytes);
+  EXPECT_EQ(source.stats().cache_evictions, 0u);
+
+  uint64_t hits = source.stats().cache_hits;
+  ASSERT_EQ(name_of(source, files[0]), "/e0");  // touch the oldest
+  EXPECT_EQ(source.stats().cache_hits, hits + 1);
+  ASSERT_EQ(name_of(source, files[4]), "/e4");  // evicts /e1, not /e0
+  EXPECT_EQ(source.stats().cache_evictions, 1u);
+  EXPECT_EQ(source.cache_bytes_used(), k * entry_bytes);
+
+  // /e5 twice in one frontier: both miss, and the second fill replaces the
+  // first, so only the oldest entry (/e2) goes.
+  uint64_t misses = source.stats().cache_misses;
+  auto twice = source.AttributeMany({files[5], files[5]}, "name");
+  ASSERT_EQ(twice.size(), 2u);
+  EXPECT_EQ(twice[0].size(), 1u);
+  EXPECT_EQ(twice[1].size(), 1u);
+  EXPECT_EQ(source.stats().cache_misses, misses + 2);
+  EXPECT_EQ(source.stats().cache_evictions, 2u);
+  EXPECT_EQ(source.cache_bytes_used(), k * entry_bytes);
+
+  FederatedSourceTestPeer peer(&source);
+  uint32_t name_id = peer.Intern("name");
+  std::vector<bool> cached;
+  for (const pql::Node& file : files) {
+    cached.push_back(peer.ProbeAttr(file.pnode, name_id));
+  }
+  EXPECT_EQ(cached, (std::vector<bool>{true, false, false, true, true, true}));
+}
+
+// cluster.Source() hands sources out by value: a move carries the cache's
+// entries and their LRU links over intact, by construction and by
+// assignment alike.
+TEST(FederatedCacheTest, MovedSourceKeepsItsCacheAndOrder) {
+  ClusterCoordinator cluster(SmallCluster(4));
+  auto refs = BuildCrossShardChain(&cluster, 12);
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  FederatedSource source = cluster.Source(/*portal_shard=*/0,
+                                          /*cache_bytes=*/768);
+  auto before = pql::Engine(&source).Run(kTailClosure)->SortedRows();
+  ASSERT_GT(source.stats().cache_evictions, 0u);
+  size_t used = source.cache_bytes_used();
+
+  FederatedSource moved(std::move(source));
+  EXPECT_EQ(moved.cache_bytes_used(), used);
+  FederatedSource assigned = cluster.Source(/*portal_shard=*/0);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.cache_bytes_used(), used);
+  uint64_t hits = assigned.stats().cache_hits;
+  uint64_t evictions = assigned.stats().cache_evictions;
+  // The same closure again: its latest entries hit, and the fills evict
+  // through the carried-over links.
+  EXPECT_EQ(pql::Engine(&assigned).Run(kTailClosure)->SortedRows(), before);
+  EXPECT_GT(assigned.stats().cache_hits, hits);
+  EXPECT_GT(assigned.stats().cache_evictions, evictions);
+  EXPECT_LE(assigned.cache_bytes_used(), 768u);
+  EXPECT_EQ(before, *MergedRows(cluster, kTailClosure));
+}
+
+// Both sources read attributes by one rule, so a portal's AttributeMany
+// equals ProvDbSource's over the merged database for every name, in any
+// case: kinds, annotations (an annotation keyed "Name" answers `name` next
+// to the NAME rows), virtual attributes and unknown names, over nodes with
+// several versions or no rows, local and remote, cached and not.
+TEST(FederatedCacheTest, AttributeManyEqualsMergedDatabaseForEveryName) {
+  ClusterCoordinator cluster(SmallCluster(4));
+  auto refs = BuildCrossShardChain(&cluster, 8);
+  ASSERT_TRUE(cluster.Sync().ok());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    // Rows of two versions on each file's owner, as ingest would put them.
+    waldo::ProvDb& owner = cluster.shard_db(cluster.OwnerOf(refs[i].pnode));
+    owner.Insert({refs[i], core::Record::Annotation(
+                               i % 2 == 0 ? "taint" : "TaInt", int64_t{1})});
+    owner.Insert({{refs[i].pnode, refs[i].version + 1},
+                  core::Record::Annotation(
+                      "Name", std::string("alias") + std::to_string(i))});
+    if (i % 3 == 0) {  // /f0 (local to the portal), /f3 and /f6 (remote)
+      owner.Insert({refs[i], core::Record::Of(core::Attr::kArgv,
+                                               std::string("cp a b"))});
+    }
+  }
+  waldo::ProvDb merged;
+  cluster.MergeInto(&merged);
+  pql::ProvDbSource single(&merged);
+  std::vector<pql::Node> frontier = single.RootSet("object");
+  frontier.push_back({refs[0].pnode + 4096, 0});  // no rows on any shard
+  ASSERT_GT(frontier.size(), refs.size());
+  ASSERT_EQ(single.Attribute(refs[3], "name").size(), 2u);  // "/f3", "alias3"
+
+  auto strings = [](const std::vector<pql::ValueSet>& sets) {
+    std::vector<std::vector<std::string>> out;
+    for (const pql::ValueSet& values : sets) {
+      out.emplace_back();
+      for (const pql::Value& value : values) {
+        out.back().push_back(value.ToString());
+      }
+    }
+    return out;
+  };
+  const char* kNames[] = {"name", "NAME", "type",    "pid",     "argv",
+                          "taint", "TaInt", "pnode", "version", "no_such"};
+  FederatedSource portal = cluster.Source(/*portal_shard=*/0);
+  // Half the frontier first: the first full round mixes cached and uncached
+  // nodes, the second reads every remote node from the cache.
+  std::vector<pql::Node> half(frontier.begin(),
+                              frontier.begin() + frontier.size() / 2);
+  for (const char* attr : kNames) {
+    portal.AttributeMany(half, attr);
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const char* attr : kNames) {
+      auto want = strings(single.AttributeMany(frontier, attr));
+      EXPECT_EQ(strings(portal.AttributeMany(frontier, attr)), want)
+          << attr << ", round " << round;
+      bool any = std::any_of(want.begin(), want.end(), [](const auto& values) {
+        return !values.empty();
+      });
+      EXPECT_EQ(any, std::string(attr) != "no_such") << attr;
+    }
+  }
+  EXPECT_GT(portal.stats().cache_hits, 0u);
+  EXPECT_GT(portal.stats().cache_misses, 0u);
+  EXPECT_GT(portal.stats().local_ops, 0u);
+  EXPECT_GT(portal.stats().remote_ops, 0u);
 }
 
 TEST(FederatedCacheTest, CachedAndUncachedByteAccountingBalance) {

@@ -241,11 +241,88 @@ TEST(ProvDbTest, BulkLookupsAlignWithSingleLookups) {
     EXPECT_EQ(inputs[i], db.Inputs(refs[i])) << i;
     EXPECT_EQ(outputs[i], db.Outputs(refs[i])) << i;
   }
-  auto records = db.RecordsOfAllVersionsMany({1, 2, 99});
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].size(), db.RecordsOfAllVersions(1).size());
-  EXPECT_EQ(records[1].size(), db.RecordsOfAllVersions(2).size());
-  EXPECT_TRUE(records[2].empty());
+  auto types = db.AttributeValuesMany({1, 2, 99}, "type");
+  ASSERT_EQ(types.size(), 3u);
+  EXPECT_TRUE(types[0].empty());
+  ASSERT_EQ(types[1].size(), 1u);
+  EXPECT_EQ(*types[1][0], db.RecordsOf({2, 0})[0].value);
+  EXPECT_TRUE(types[2].empty());
+}
+
+// AttributeValuesMany keeps exactly the rows whose attribute name equals
+// the asked one ignoring case: a kind's query name, or an annotation's key.
+// Rows come across versions, oldest first, in insertion order.
+TEST(ProvDbTest, AttributeValuesKeepTheAskedRowsInOrder) {
+  ProvDb db;
+  db.Insert(Entry({1, 2}, core::Record::Name("/v2")));
+  db.Insert(Entry({1, 0}, core::Record::Name("/v0")));
+  db.Insert(Entry({1, 0}, core::Record::Annotation("Name", std::string("n"))));
+  db.Insert(Entry({1, 0}, core::Record::Type("FILE")));
+  db.Insert(Entry({1, 1}, core::Record::Annotation("TaInt", int64_t{1})));
+  db.Insert(Entry({1, 1}, core::Record::Of(core::Attr::kPid, int64_t{7})));
+  db.Insert(Entry({1, 1}, core::Record::Of(core::Attr::kBeginTxn,
+                                           int64_t{3})));
+  db.Insert(Entry({1, 1}, core::Record::Of(static_cast<core::Attr>(99),
+                                           int64_t{5})));
+  db.Insert(Entry({2, 0}, core::Record::Input({1, 0})));  // no attribute rows
+
+  auto strings = [](const std::vector<const core::Value*>& values) {
+    std::vector<std::string> out;
+    for (const core::Value* value : values) {
+      out.push_back(core::ValueToString(*value));
+    }
+    return out;
+  };
+  std::vector<core::PnodeId> pnodes = {1, 2, 3};
+  using Strings = std::vector<std::string>;
+  for (const char* name : {"name", "NAME", "Name"}) {
+    auto values = db.AttributeValuesMany(pnodes, name);
+    ASSERT_EQ(values.size(), 3u);
+    EXPECT_EQ(strings(values[0]), (Strings{"/v0", "n", "/v2"})) << name;
+    EXPECT_TRUE(values[1].empty());
+    EXPECT_TRUE(values[2].empty());
+  }
+  EXPECT_EQ(strings(db.AttributeValuesMany(pnodes, "taint")[0]),
+            Strings{"1"});
+  EXPECT_EQ(strings(db.AttributeValuesMany(pnodes, "TAINT")[0]),
+            Strings{"1"});
+  EXPECT_EQ(strings(db.AttributeValuesMany(pnodes, "Pid")[0]), Strings{"7"});
+  EXPECT_EQ(strings(db.AttributeValuesMany(pnodes, "begintxn")[0]),
+            Strings{"3"});
+  EXPECT_EQ(strings(db.AttributeValuesMany(pnodes, "unknown")[0]),
+            Strings{"5"});
+  EXPECT_EQ(strings(db.AttributeValuesMany(pnodes, "type")[0]),
+            Strings{"FILE"});
+  // Edges are no attribute rows, and an annotation does not answer to its
+  // kind's own name.
+  EXPECT_TRUE(db.AttributeValuesMany(pnodes, "input")[1].empty());
+  EXPECT_TRUE(db.AttributeValuesMany(pnodes, "annotation")[0].empty());
+  EXPECT_TRUE(db.AttributeValuesMany(pnodes, "nam")[0].empty());
+}
+
+// The root-set reads equal the per-pnode lookups they replace: members
+// both adjacent and far apart, several versions, ancestor-only nodes.
+TEST(ProvDbTest, LatestMembersMatchPerPnodeLookups) {
+  ProvDb db;
+  for (core::PnodeId pnode = 1; pnode <= 120; ++pnode) {
+    bool file = pnode % 11 == 0 || pnode % 11 == 1 || pnode > 100;
+    core::ObjectRef ref{pnode, static_cast<core::Version>(pnode % 3)};
+    db.Insert(Entry(ref, core::Record::Type(file ? "FILE" : "PROC")));
+    db.Insert(Entry(ref, core::Record::Input({pnode + 500, 0})));
+  }
+  std::vector<core::ObjectRef> files;
+  for (core::PnodeId pnode : db.PnodesByType("FILE")) {
+    files.push_back({pnode, db.LatestVersionOf(pnode)});
+  }
+  std::vector<core::ObjectRef> all;
+  for (core::PnodeId pnode : db.AllPnodes()) {
+    all.push_back({pnode, db.LatestVersionOf(pnode)});
+  }
+  ASSERT_EQ(files.size(), 39u);
+  ASSERT_EQ(all.size(), 240u);
+  EXPECT_EQ(db.LatestOfType("FILE"), files);
+  EXPECT_EQ(db.LatestOfAll(), all);
+  EXPECT_TRUE(db.LatestOfType("PIPE").empty());
 }
 
 TEST(ProvDbTest, StatsTrackStores) {
@@ -471,6 +548,36 @@ TEST(ProvDbTest, PartialNameIndexDeleteKeepsSurvivors) {
   auto by_name = db.PnodesByName("/twin");
   ASSERT_EQ(by_name.size(), 1u);
   EXPECT_EQ(by_name[0], 80u);
+}
+
+// A name with an embedded NUL keeps its whole index key through
+// DeleteRange: the rewrite replaces the key WriteAttr wrote, and no key cut
+// at the NUL appears.
+TEST(ProvDbTest, DeleteRangeRewritesNamesWithEmbeddedNul) {
+  const std::string name("/a\0b", 4);
+  ProvDb db;
+  db.Insert(Entry({5, 0}, core::Record::Name(name)));
+  db.Insert(Entry({80, 0}, core::Record::Name(name)));
+  db.DeleteRange(0, 10);
+
+  std::string serialized = db.Serialize();
+  Decoder image(serialized);
+  ASSERT_TRUE(image.Bytes().ok());  // the records store
+  auto index_image = image.Bytes();
+  ASSERT_TRUE(index_image.ok());
+  auto indexes = KvStore::Deserialize(*index_image);
+  ASSERT_TRUE(indexes.ok());
+  std::vector<std::string> keys;
+  std::vector<std::string> values;
+  indexes->Scan("n/", [&](std::string_view key, std::string_view value) {
+    keys.emplace_back(key);
+    values.emplace_back(value);
+  });
+  std::string survivor;
+  core::EncodeObjectRef(&survivor, {80, 0});
+  EXPECT_EQ(keys, std::vector<std::string>{"n/" + name});
+  EXPECT_EQ(values, std::vector<std::string>{survivor});
+  EXPECT_EQ(db.PnodesByName(name), std::vector<core::PnodeId>{80});
 }
 
 // ---- Node table --------------------------------------------------------------
