@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): analyzer throughput, record codec,
 // the byte kernels (MD5, CRC32, the workload name generator), log framing,
-// KV store, ProvDb's write path and bulk reads, the portal's root sets and
-// attribute reads, and PQL query latency.
+// ProvDb's write path and bulk reads, the portal's root sets and attribute
+// reads, and PQL query latency.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +20,6 @@
 #include "src/util/crc32.h"
 #include "src/util/md5.h"
 #include "src/util/rng.h"
-#include "src/waldo/kvstore.h"
 #include "src/waldo/provdb.h"
 
 namespace {
@@ -104,16 +103,6 @@ void BM_LogFraming(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LogFraming);
-
-void BM_KvStorePut(benchmark::State& state) {
-  waldo::KvStore store;
-  Rng rng(2);
-  for (auto _ : state) {
-    store.Put("key/" + std::to_string(rng.NextBelow(100000)), "value-bytes");
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KvStorePut);
 
 // An ingest-shaped stream of `versions` new versions, two per file: each
 // gets NAME, TYPE and one or two INPUT rows (a second version also lists

@@ -374,19 +374,10 @@ std::string FederatedSource::NodeLabel(const pql::Node& node) const {
   // same RPC, so an unnamed remote node does not cost a second round trip.
   const waldo::ProvDb* db =
       Route(node.pnode, kRpcHeaderBytes, 4 * kPerRowResponseBytes);
-  std::string name = db == nullptr ? std::string() : db->NameOf(node.pnode);
-  if (name.empty() && db != nullptr) {
-    for (const core::Record& record : db->RecordsOfAllVersions(node.pnode)) {
-      if (record.attr == core::Attr::kType) {
-        name = pql::Value::FromRecordValue(record.value).ToString();
-        break;
-      }
-    }
+  if (db == nullptr) {
+    return StrFormat("? [%s]", node.ToString().c_str());
   }
-  if (name.empty()) {
-    name = "?";
-  }
-  return StrFormat("%s [%s]", name.c_str(), node.ToString().c_str());
+  return pql::NodeLabelOf(*db, node);
 }
 
 }  // namespace pass::cluster

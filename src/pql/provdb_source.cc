@@ -60,6 +60,15 @@ std::vector<ValueSet> AttributeSets(const waldo::ProvDb& db,
   return out;
 }
 
+std::string NodeLabelOf(const waldo::ProvDb& db, const Node& node) {
+  std::string label = db.NameOf(node.pnode);
+  if (label.empty()) {
+    ValueSet types = AttributeSets(db, {node}, "type").front();
+    label = types.empty() ? "?" : types.front().ToString();
+  }
+  return StrFormat("%s [%s]", label.c_str(), node.ToString().c_str());
+}
+
 std::vector<Node> ProvDbSource::RootSet(const std::string& name) const {
   return RootMembers(*db_, name);
 }
@@ -83,12 +92,7 @@ bool ProvDbSource::IsLink(const std::string& name) const {
 }
 
 std::string ProvDbSource::NodeLabel(const Node& node) const {
-  std::string name = db_->NameOf(node.pnode);
-  if (name.empty()) {
-    auto types = Attribute(node, "type");
-    name = types.empty() ? "?" : types.front().ToString();
-  }
-  return StrFormat("%s [%s]", name.c_str(), node.ToString().c_str());
+  return NodeLabelOf(*db_, node);
 }
 
 }  // namespace pass::pql

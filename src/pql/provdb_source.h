@@ -16,7 +16,7 @@ namespace pass::pql {
 // this mapping.
 std::string RootSetTypeName(const std::string& name);
 
-// The two reads every GraphSource over provenance databases shares, so a
+// The reads every GraphSource over provenance databases shares, so a
 // federated source answers exactly what one database would:
 //
 // The members of root set `name` in `db` at their latest versions,
@@ -29,6 +29,11 @@ std::vector<Node> RootMembers(const waldo::ProvDb& db, const std::string& name);
 std::vector<ValueSet> AttributeSets(const waldo::ProvDb& db,
                                     const std::vector<Node>& nodes,
                                     const std::string& attr);
+// The label query results render for `node`, "<label> [<node>]": the
+// pnode's latest NAME in `db`, else the first value of its `type` set (the
+// values AttributeSets returns, whatever order the rows arrived in), else
+// "?".
+std::string NodeLabelOf(const waldo::ProvDb& db, const Node& node);
 
 class ProvDbSource : public GraphSource {
  public:

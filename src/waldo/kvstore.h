@@ -1,98 +1,64 @@
 #ifndef SRC_WALDO_KVSTORE_H_
 #define SRC_WALDO_KVSTORE_H_
 
-// Append-only key/value segment store — the storage engine under Waldo's
-// provenance database (the paper used Berkeley DB; this is a small
-// log-structured equivalent). Keys may repeat: a key holds every value put
-// since its last Delete, in insertion order. Put and Delete build each frame
-// in place at the end of the last segment and patch its CRC in once the
-// payload is there, so a frame's bytes are written once, with no temporary
-// copy of the frame. In memory the store keeps its segments plus the
-// live-key index: per live key, the entry count and byte total that Delete
-// moves to the dead tail. Put finds a key's entry before allocating a copy
-// of the key, which only a new key needs.
-// Scan and Compact replay the segments, so the store is no fast read path
-// (ProvDb's node table is); a bad frame there is a broken invariant and
-// aborts, while Deserialize, which reads an image from outside the process,
-// returns Corrupt. Space accounting (Table 3) is the total size of the
-// segment bytes, which is exactly what the serialized database would occupy
-// on disk.
+// The size of one key/value store under Waldo's provenance database, the
+// figure Table 3 reports (the paper's store was Berkeley DB; the model is
+// a small log-structured equivalent). No store bytes are kept: ProvDb's
+// node table holds every row, and this model counts what a segment log of
+// those rows would occupy. Keys may repeat: a key holds every value put
+// since its last Delete.
+//
+// Every write appends one frame: a u32 payload length and a u32 CRC-32,
+// then the payload (a u8 tombstone flag, then the key and the value, each
+// behind a u32 length). So a put adds key + value + 17 bytes, of which the
+// payload, key + value + 9, counts as live. Deleting a key that holds
+// values moves their payloads from live to dead and appends a key + 17
+// byte tombstone; deleting a key that holds none writes nothing. After a
+// tombstone the log compacts once dead bytes exceed half of it: it keeps
+// only the live entries' frames, the live payloads plus 8 bytes each.
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "src/util/result.h"
 
 namespace pass::waldo {
 
-struct KvStats {
-  uint64_t entries = 0;       // live entries
-  uint64_t tombstones = 0;
-  uint64_t segments = 0;
-  uint64_t bytes = 0;          // total segment bytes (live + dead)
-  uint64_t live_bytes = 0;     // bytes attributable to live entries
-  uint64_t compactions = 0;
-};
-
-class KvStore {
+class KvStoreSize {
  public:
-  // `auto_compact`: rewrite segments automatically once dead bytes exceed
-  // half of the total segment bytes (heavy Delete churn would otherwise let
-  // the dead tail of the log grow without bound).
-  explicit KvStore(uint64_t segment_bytes = 4u << 20, bool auto_compact = true)
-      : segment_bytes_(segment_bytes), auto_compact_(auto_compact) {
-    segments_.emplace_back();
+  // A value of `value_bytes` put under a key of `key_bytes`.
+  void Put(uint64_t key_bytes, uint64_t value_bytes) {
+    uint64_t payload = key_bytes + value_bytes + kPayloadBytes;
+    bytes_ += kHeaderBytes + payload;
+    live_bytes_ += payload;
+    ++live_entries_;
   }
 
-  // Append a value under `key` (keys are multi-valued).
-  void Put(std::string_view key, std::string_view value);
+  // Delete a key of `key_bytes` that holds `values` values, `value_bytes`
+  // in all.
+  void Delete(uint64_t key_bytes, uint64_t values, uint64_t value_bytes) {
+    if (values == 0) {
+      return;
+    }
+    uint64_t payloads = values * (key_bytes + kPayloadBytes) + value_bytes;
+    live_bytes_ -= payloads;
+    dead_bytes_ += payloads;
+    live_entries_ -= values;
+    bytes_ += kHeaderBytes + key_bytes + kPayloadBytes;
+    if (2 * dead_bytes_ > bytes_) {
+      bytes_ = live_bytes_ + kHeaderBytes * live_entries_;
+      dead_bytes_ = 0;
+    }
+  }
 
-  // Remove all values for `key` (tombstone; space reclaimed by Compact).
-  void Delete(std::string_view key);
-
-  // Visit every live (key, value) whose key starts with `prefix`, in key
-  // order and, within a key, in insertion order. The views borrow the
-  // segments, so `fn` must not modify this store.
-  void Scan(std::string_view prefix,
-            const std::function<void(std::string_view key,
-                                     std::string_view value)>& fn) const;
-
-  // Rewrite segments dropping dead entries: the live entries in key order,
-  // each key's values in insertion order. Returns bytes reclaimed.
-  uint64_t Compact();
-
-  // Serialize the whole store (segment stream) / rebuild from it. Used to
-  // prove the store is genuinely recoverable, and by tests.
-  std::string Serialize() const;
-  static Result<KvStore> Deserialize(std::string_view image);
-
-  KvStats stats() const;
+  // The log's bytes: every frame written since the last compaction.
+  uint64_t bytes() const { return bytes_; }
 
  private:
-  void AppendEntry(std::string_view key, std::string_view value,
-                   bool tombstone);
-  void MaybeAutoCompact();
-  uint64_t TotalSegmentBytes() const;
+  static constexpr uint64_t kHeaderBytes = 4 + 4;       // length, CRC
+  static constexpr uint64_t kPayloadBytes = 1 + 4 + 4;  // flag, lengths
 
-  uint64_t segment_bytes_;
-  bool auto_compact_ = true;
-  std::vector<std::string> segments_;
-  // The live-key index. Per live key: how many entries it holds and their
-  // byte total.
-  struct LiveKey {
-    uint64_t entries = 0;
-    uint64_t bytes = 0;
-  };
-  std::map<std::string, LiveKey, std::less<>> live_;
-  uint64_t live_bytes_ = 0;
-  uint64_t dead_bytes_ = 0;
-  uint64_t entries_ = 0;
-  uint64_t tombstones_ = 0;
-  uint64_t compactions_ = 0;
+  uint64_t bytes_ = 0;
+  uint64_t live_bytes_ = 0;  // live entries' payloads
+  uint64_t dead_bytes_ = 0;  // dead entries' payloads
+  uint64_t live_entries_ = 0;
 };
 
 }  // namespace pass::waldo

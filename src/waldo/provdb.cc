@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <iterator>
 
 #include "src/util/logging.h"
@@ -11,51 +10,13 @@
 namespace pass::waldo {
 namespace {
 
-// The store key of a ref's 'r/', 'i/' or 'o/' rows,
-// "<prefix>/<%016llx pnode>/<%08x version>", formatted into a fixed buffer.
-// It converts to the view KvStore takes, valid while the key lives.
-class RefKey {
- public:
-  static constexpr size_t kBytes = 2 + 16 + 1 + 8;
+// Store key and value sizes (see provdb.h): a ref key
+// "<prefix>/<%016llx pnode>/<%08x version>", a name or type key
+// "<prefix>/<text>", and an encoded ref value.
+constexpr uint64_t kRefKeyBytes = 2 + 16 + 1 + 8;
+constexpr uint64_t kRefBytes = 8 + 4;
 
-  RefKey(char prefix, const core::ObjectRef& ref) {
-    bytes_[0] = prefix;
-    bytes_[1] = '/';
-    PutHex(ref.pnode, 16, bytes_ + 2);
-    bytes_[18] = '/';
-    PutHex(ref.version, 8, bytes_ + 19);
-  }
-  operator std::string_view() const { return {bytes_, kBytes}; }
-
- private:
-  // The low `digits` hex digits of `value`, lowercase, most significant
-  // first.
-  static void PutHex(uint64_t value, int digits, char* out) {
-    for (int i = digits - 1; i >= 0; --i) {
-      out[i] = "0123456789abcdef"[value & 0xf];
-      value >>= 4;
-    }
-  }
-
-  char bytes_[kBytes];
-};
-
-std::string EncodeRef(const core::ObjectRef& ref) {
-  std::string out;
-  core::EncodeObjectRef(&out, ref);
-  return out;
-}
-
-// The index store key of a name ('n') or type ('t') row: "<prefix>/<text>",
-// every byte of `text` included.
-std::string IndexKey(char prefix, std::string_view text) {
-  std::string key;
-  key.reserve(2 + text.size());
-  key += prefix;
-  key += '/';
-  key += text;
-  return key;
-}
+uint64_t TextKeyBytes(std::string_view text) { return 2 + text.size(); }
 
 char LowerAscii(char c) {
   return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -197,17 +158,21 @@ void ProvDb::WriteAttr(Slot slot, const core::ObjectRef& subject,
   if (feed) {
     Feed(FeedRow::Kind::kAttr, subject, {});
   }
-  std::string encoded;
-  core::EncodeRecord(&encoded, record);
-  records_.Put(RefKey('r', subject), encoded);
-  if (const auto* text = std::get_if<std::string>(&record.value)) {
-    if (record.attr == core::Attr::kName) {
-      indexes_.Put(IndexKey('n', *text), EncodeRef(subject));
-    } else if (record.attr == core::Attr::kType) {
-      indexes_.Put(IndexKey('t', *text), EncodeRef(subject));
+  records_.Put(kRefKeyBytes, core::EncodedSize(record));
+  slot.node->stamp = ++stamp_;
+  const auto* text = std::get_if<std::string>(&record.value);
+  bool named = record.attr == core::Attr::kName;
+  if (text != nullptr && (named || record.attr == core::Attr::kType)) {
+    Members& members = (named ? by_name_ : by_type_)[*text];
+    members.pnodes.insert(subject.pnode);
+    ++members.values;
+    indexes_.Put(TextKeyBytes(*text), kRefBytes);
+    if (named) {
+      slot.node->name = *text;
     }
   }
-  MirrorAttr(slot, subject.pnode, record);
+  slot.rows->attrs.push_back(record);
+  ++record_count_;
 }
 
 void ProvDb::WriteEdge(Slot subject_slot, Slot ancestor_slot,
@@ -218,16 +183,19 @@ void ProvDb::WriteEdge(Slot subject_slot, Slot ancestor_slot,
     if (feed) {
       Feed(FeedRow::Kind::kForward, subject, ancestor);
     }
-    indexes_.Put(RefKey('i', subject), EncodeRef(ancestor));
+    indexes_.Put(kRefKeyBytes, kRefBytes);
+    subject_slot.rows->inputs.push_back(ancestor);
+    ++edge_count_;  // edge_count_ counts forward rows
+    subject_slot.node->stamp = ++stamp_;
   }
   if (reverse) {
     if (feed) {
       Feed(FeedRow::Kind::kReverse, ancestor, subject);
     }
-    indexes_.Put(RefKey('o', ancestor), EncodeRef(subject));
+    indexes_.Put(kRefKeyBytes, kRefBytes);
+    ancestor_slot.rows->outputs.push_back(subject);
+    ancestor_slot.node->stamp = ++stamp_;
   }
-  MirrorEdge(subject_slot, ancestor_slot, subject, ancestor, forward,
-             reverse);
 }
 
 void ProvDb::Feed(FeedRow::Kind kind, const core::ObjectRef& key,
@@ -284,35 +252,6 @@ std::vector<FeedRow> ProvDb::FeedRowsInRange(core::PnodeId begin,
 void ProvDb::AppendFeed(const std::vector<FeedRow>& rows) {
   for (const FeedRow& row : rows) {
     Feed(row.kind, row.key, row.other);
-  }
-}
-
-void ProvDb::MirrorAttr(Slot slot, core::PnodeId pnode, core::Record record) {
-  slot.node->stamp = ++stamp_;
-  if (const auto* text = std::get_if<std::string>(&record.value)) {
-    if (record.attr == core::Attr::kName) {
-      by_name_[*text].insert(pnode);
-      slot.node->name = *text;
-    } else if (record.attr == core::Attr::kType) {
-      by_type_[*text].insert(pnode);
-    }
-  }
-  slot.rows->attrs.push_back(std::move(record));
-  ++record_count_;
-}
-
-void ProvDb::MirrorEdge(Slot subject_slot, Slot ancestor_slot,
-                        const core::ObjectRef& subject,
-                        const core::ObjectRef& ancestor, bool forward,
-                        bool reverse) {
-  if (forward) {
-    subject_slot.rows->inputs.push_back(ancestor);
-    ++edge_count_;  // edge_count_ counts forward rows
-    subject_slot.node->stamp = ++stamp_;
-  }
-  if (reverse) {
-    ancestor_slot.rows->outputs.push_back(subject);
-    ancestor_slot.node->stamp = ++stamp_;
   }
 }
 
@@ -400,12 +339,12 @@ std::vector<core::ObjectRef> ProvDb::LatestOfType(std::string_view type) const {
   if (it == by_type_.end()) {
     return out;
   }
-  out.reserve(it->second.size());
+  out.reserve(it->second.pnodes.size());
   // Members and nodes both ascend by pnode, so one forward pass over the
   // nodes meets every member's node; a gap of more than a few nodes is
   // crossed by search instead.
   auto node = nodes_.begin();
-  for (core::PnodeId pnode : it->second) {
+  for (core::PnodeId pnode : it->second.pnodes) {
     for (int step = 0; node != nodes_.end() && node->first < pnode; ++step) {
       node = step < 4 ? std::next(node) : nodes_.lower_bound(pnode);
     }
@@ -438,7 +377,8 @@ std::vector<core::PnodeId> ProvDb::PnodesByName(std::string_view name) const {
   if (it == by_name_.end()) {
     return {};
   }
-  return std::vector<core::PnodeId>(it->second.begin(), it->second.end());
+  const std::set<core::PnodeId>& pnodes = it->second.pnodes;
+  return std::vector<core::PnodeId>(pnodes.begin(), pnodes.end());
 }
 
 std::vector<core::PnodeId> ProvDb::PnodesByType(std::string_view type) const {
@@ -446,7 +386,8 @@ std::vector<core::PnodeId> ProvDb::PnodesByType(std::string_view type) const {
   if (it == by_type_.end()) {
     return {};
   }
-  return std::vector<core::PnodeId>(it->second.begin(), it->second.end());
+  const std::set<core::PnodeId>& pnodes = it->second.pnodes;
+  return std::vector<core::PnodeId>(pnodes.begin(), pnodes.end());
 }
 
 std::string ProvDb::NameOf(core::PnodeId pnode) const {
@@ -466,7 +407,7 @@ std::vector<core::PnodeId> ProvDb::AllPnodes() const {
 std::string ProvDb::TypeOf(core::PnodeId pnode) const {
   // by_type_ holds a handful of types; membership per type is O(log n).
   for (const auto& [type, members] : by_type_) {
-    if (members.count(pnode) != 0) {
+    if (members.pnodes.count(pnode) != 0) {
       return type;
     }
   }
@@ -574,15 +515,14 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
   std::set<std::string> touched_names;
   std::set<std::string> touched_types;
   // One pass per key family, as EntriesInRange: every 'r/' key, then every
-  // 'i/' key, then every 'o/' key. A store may auto-compact on any Delete,
-  // so this order fixes where it does.
+  // 'i/' key, then every 'o/' key. A store may compact on any Delete, so
+  // this order fixes where it does. A key's values are the rows it keys.
   const NodeRange nodes = NodesIn(begin, end);
   for (const auto& [pnode, node] : nodes) {
     for (const VersionRows& rows : node.versions) {
-      if (rows.attrs.empty()) {
-        continue;
-      }
+      uint64_t value_bytes = 0;
       for (const core::Record& record : rows.attrs) {
+        value_bytes += core::EncodedSize(record);
         if (const auto* text = std::get_if<std::string>(&record.value)) {
           if (record.attr == core::Attr::kName) {
             touched_names.insert(*text);
@@ -591,28 +531,26 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
           }
         }
       }
-      records_.Delete(RefKey('r', {pnode, rows.version}));
+      records_.Delete(kRefKeyBytes, rows.attrs.size(), value_bytes);
       removed += rows.attrs.size();
       record_count_ -= rows.attrs.size();
     }
   }
+  auto delete_refs = [&](size_t refs) {
+    indexes_.Delete(kRefKeyBytes, refs, refs * kRefBytes);
+    removed += refs;
+  };
   // edge_count_ tracks forward rows only; the paired reverse row of a fully
   // in-range edge goes in the reverse pass without further decrement.
   for (const auto& [pnode, node] : nodes) {
     for (const VersionRows& rows : node.versions) {
-      if (!rows.inputs.empty()) {
-        indexes_.Delete(RefKey('i', {pnode, rows.version}));
-        removed += rows.inputs.size();
-        edge_count_ -= rows.inputs.size();
-      }
+      delete_refs(rows.inputs.size());
+      edge_count_ -= rows.inputs.size();
     }
   }
   for (const auto& [pnode, node] : nodes) {
     for (const VersionRows& rows : node.versions) {
-      if (!rows.outputs.empty()) {
-        indexes_.Delete(RefKey('o', {pnode, rows.version}));
-        removed += rows.outputs.size();
-      }
+      delete_refs(rows.outputs.size());
     }
   }
   // Erasing the range's nodes forgets their stamps, so a removed pnode's
@@ -620,28 +558,30 @@ uint64_t ProvDb::DeleteRange(core::PnodeId begin, core::PnodeId end) {
   nodes_.erase(nodes.begin(), nodes.end());
 
   // Secondary name/type indexes: drop in-range pnodes from the touched keys
-  // and rewrite those keys so surviving pnodes stay accounted in the store.
-  auto prune = [&](std::map<std::string, std::set<core::PnodeId>>& index,
-                   char prefix, const std::set<std::string>& touched) {
-    for (const std::string& name : touched) {
-      auto it = index.find(name);
+  // and rewrite each such key with one value per surviving pnode.
+  auto prune = [&](std::map<std::string, Members>& index,
+                   const std::set<std::string>& touched) {
+    for (const std::string& text : touched) {
+      auto it = index.find(text);
       if (it == index.end()) {
         continue;
       }
-      std::set<core::PnodeId>& pnodes = it->second;
+      Members& members = it->second;
+      std::set<core::PnodeId>& pnodes = members.pnodes;
       pnodes.erase(pnodes.lower_bound(begin), pnodes.upper_bound(end - 1));
-      std::string key = IndexKey(prefix, name);
-      indexes_.Delete(key);
-      for (core::PnodeId pnode : pnodes) {
-        indexes_.Put(key, EncodeRef({pnode, LatestVersionOf(pnode)}));
+      uint64_t key_bytes = TextKeyBytes(text);
+      indexes_.Delete(key_bytes, members.values, members.values * kRefBytes);
+      members.values = pnodes.size();
+      for (size_t i = 0; i < pnodes.size(); ++i) {
+        indexes_.Put(key_bytes, kRefBytes);
       }
       if (pnodes.empty()) {
         index.erase(it);
       }
     }
   };
-  prune(by_name_, 'n', touched_names);
-  prune(by_type_, 't', touched_types);
+  prune(by_name_, touched_names);
+  prune(by_type_, touched_types);
   if (removed > 0) {
     ++stamp_;
   }
@@ -669,102 +609,13 @@ std::vector<std::pair<core::PnodeId, uint64_t>> ProvDb::PnodeRowsInRange(
   return weights;
 }
 
-namespace {
-
-// Parse "<prefix>/<%016llx pnode>/<%08x version>" back into a ref.
-Result<core::ObjectRef> ParseRefKey(std::string_view key) {
-  if (key.size() != RefKey::kBytes || key[1] != '/' || key[18] != '/') {
-    return Corrupt("provdb: malformed ref key");
-  }
-  core::ObjectRef ref;
-  ref.pnode = std::strtoull(std::string(key.substr(2, 16)).c_str(), nullptr, 16);
-  ref.version = static_cast<core::Version>(
-      std::strtoul(std::string(key.substr(19, 8)).c_str(), nullptr, 16));
-  return ref;
-}
-
-}  // namespace
-
-std::string ProvDb::Serialize() const {
-  std::string out;
-  PutBytes(&out, records_.Serialize());
-  PutBytes(&out, indexes_.Serialize());
-  return out;
-}
-
-Result<ProvDb> ProvDb::Deserialize(std::string_view image) {
-  Decoder in(image);
-  PASS_ASSIGN_OR_RETURN(std::string records_image, in.Bytes());
-  PASS_ASSIGN_OR_RETURN(std::string indexes_image, in.Bytes());
-  if (!in.done()) {
-    return Corrupt("provdb: trailing bytes after store images");
-  }
-  PASS_ASSIGN_OR_RETURN(KvStore records, KvStore::Deserialize(records_image));
-  PASS_ASSIGN_OR_RETURN(KvStore indexes, KvStore::Deserialize(indexes_image));
-
-  ProvDb db;
-  db.records_ = std::move(records);
-  db.indexes_ = std::move(indexes);
-
-  // Rebuild the node table through the row kinds' mirror paths. The records
-  // store carries every attribute record, the 'i/' keys every forward row
-  // and the 'o/' keys every reverse row; 'n/' and 't/' are derived. Reverse
-  // rows come solely from 'o/' keys, never from 'i/': range deletion and
-  // half-row insertion keep the two key families independently exact, so an
-  // edge half dropped by DeleteRange (its twin keyed outside the range)
-  // stays dropped across a round trip.
-  Status failure = Status::Ok();
-  // Hands each row under `prefix` to `row` as its parsed key ref and a
-  // decoder over its value; the first failure stops the rebuild.
-  auto replay = [&](const KvStore& store, std::string_view prefix,
-                    const auto& row) {
-    store.Scan(prefix, [&](std::string_view key, std::string_view value) {
-      if (!failure.ok()) {
-        return;
-      }
-      auto ref = ParseRefKey(key);
-      if (!ref.ok()) {
-        failure = ref.status();
-        return;
-      }
-      Decoder body(value);
-      failure = row(*ref, &body);
-    });
-  };
-  replay(db.records_, "r/", [&](const core::ObjectRef& subject, Decoder* body) {
-    PASS_ASSIGN_OR_RETURN(core::Record record, core::DecodeRecord(body));
-    db.MirrorAttr(db.SlotOf(subject), subject.pnode, std::move(record));
-    return Status::Ok();
-  });
-  replay(db.indexes_, "i/", [&](const core::ObjectRef& subject, Decoder* body) {
-    PASS_ASSIGN_OR_RETURN(core::ObjectRef ancestor,
-                          core::DecodeObjectRef(body));
-    auto [subject_slot, ancestor_slot] = db.EdgeSlots(subject, ancestor);
-    db.MirrorEdge(subject_slot, ancestor_slot, subject, ancestor,
-                  /*forward=*/true, /*reverse=*/false);
-    return Status::Ok();
-  });
-  replay(db.indexes_, "o/", [&](const core::ObjectRef& ancestor, Decoder* body) {
-    PASS_ASSIGN_OR_RETURN(core::ObjectRef subject,
-                          core::DecodeObjectRef(body));
-    auto [subject_slot, ancestor_slot] = db.EdgeSlots(subject, ancestor);
-    db.MirrorEdge(subject_slot, ancestor_slot, subject, ancestor,
-                  /*forward=*/false, /*reverse=*/true);
-    return Status::Ok();
-  });
-  if (!failure.ok()) {
-    return failure;
-  }
-  return db;
-}
-
 ProvDbStats ProvDb::stats() const {
   ProvDbStats stats;
   stats.records = record_count_;
   stats.edges = edge_count_;
   stats.objects = nodes_.size();
-  stats.db_bytes = records_.stats().bytes;
-  stats.index_bytes = indexes_.stats().bytes;
+  stats.db_bytes = records_.bytes();
+  stats.index_bytes = indexes_.bytes();
   return stats;
 }
 

@@ -4,8 +4,14 @@
 // The provenance database Waldo maintains (§5.6): records move from the
 // Lasagna log into an indexed store that the query engine (PQL) reads.
 //
-// Layout (two KvStores so Table 3 can report "provenance" and
-// "provenance + indexes" separately, like the paper):
+// Each row lives once, in a node table ordered by pnode: a node holds its
+// pnode's versions, ascending, each with its attribute, forward and reverse
+// rows, plus the pnode's latest name and its change stamp. A row costs one
+// node lookup per pnode it names.
+//
+// Table 3 reports the database as two key/value stores, "provenance" and
+// "provenance + indexes", like the paper. Their bytes are a size model
+// (kvstore.h) fed the size of each key and value a row would write:
 //
 //   records store:  r/<pnode>/<version> -> encoded Record
 //   index store:    n/<name>            -> pnode            (NAME records)
@@ -13,14 +19,12 @@
 //                   i/<pnode>/<version> -> encoded ancestor (INPUT edges)
 //                   o/<pnode>/<version> -> encoded child    (reverse edges)
 //
-// Each row lives twice: as a store frame, the on-disk image Table 3 counts,
-// and in an in-memory mirror, the only read path. The mirror is one node
-// table ordered by pnode: a node holds its pnode's versions, ascending, each
-// with its attribute, forward and reverse rows, plus the pnode's latest name
-// and its change stamp. A row costs one node lookup per pnode it names, and
-// its store frames are built in place (kvstore.h). No query reads a store;
-// Deserialize rebuilds the node table by replaying the stores (round-trip
-// tested).
+// A ref key is the prefix, the pnode in 16 hex digits and the version in 8
+// (27 bytes); a name or type key is the prefix and the text; a ref value is
+// 12 bytes. An r/, i/ or o/ key holds exactly one version's attribute,
+// forward or reverse rows, so DeleteRange reads a deleted key's values off
+// the node table; an n/ or t/ key's value count is kept beside its index
+// entry.
 
 #include <map>
 #include <ranges>
@@ -147,15 +151,15 @@ class ProvDb {
   uint64_t EdgeCount() const { return edge_count_; }
 
   // ---- Per-pnode change stamps ----------------------------------------------
-  // Every mirror row written (by Insert, an inserting InsertUnique or
-  // InsertCopy, or Deserialize's replay) takes the next number of one
-  // database-wide sequence, and the pnode that *keys* the row (the subject
-  // of an attribute record or forward edge, the ancestor of a reverse row)
-  // keeps that number as its stamp. A DeleteRange that removes rows moves
-  // the sequence once and forgets the range's stamps. Numbers never repeat,
-  // so a per-node result read here while its pnode's stamp was s is current
-  // while the stamp still reads s: for s > 0 no row keyed by the pnode
-  // changed since, and 0 means the pnode keys no row here, then and now.
+  // Every row written (by Insert, an inserting InsertUnique or InsertCopy)
+  // takes the next number of one database-wide sequence, and the pnode that
+  // *keys* the row (the subject of an attribute record or forward edge, the
+  // ancestor of a reverse row) keeps that number as its stamp. A
+  // DeleteRange that removes rows moves the sequence once and forgets the
+  // range's stamps. Numbers never repeat, so a per-node result read here
+  // while its pnode's stamp was s is current while the stamp still reads
+  // s: for s > 0 no row keyed by the pnode changed since, and 0 means the
+  // pnode keys no row here, then and now.
   // The federated portal thus drops exactly the entries whose pnode
   // changed; ingest keyed by other pnodes, neighbours included, costs none.
   //
@@ -212,18 +216,6 @@ class ProvDb {
 
   ProvDbStats stats() const;
 
-  // Persist the database as its two KvStore images / rebuild it from them.
-  // The node table is reconstructed from the stores: a restored
-  // database returns the same result *sets* for every query. Per-subject
-  // record order and per-ancestor Outputs() order are preserved (the stores
-  // keep per-key insertion order; edges rebuild from 'i/' and 'o/' keys
-  // independently, so even half-rows left by DeleteRange round-trip).
-  // Caveats: NameOf() under renames across versions follows store key
-  // order, and VersionsOf()/AllPnodes() may resurface a range-deleted
-  // pnode still referenced by surviving out-of-range edges.
-  std::string Serialize() const;
-  static Result<ProvDb> Deserialize(std::string_view image);
-
  private:
   // One version of a pnode: its rows of each kind, in insertion order (query
   // results and the portal cache's access order follow it). InsertUnique
@@ -270,14 +262,12 @@ class ProvDb {
       std::ranges::subrange<std::map<core::PnodeId, Node>::const_iterator>;
   NodeRange NodesIn(core::PnodeId begin, core::PnodeId end) const;
 
-  // Shared row paths. WriteAttr writes an attribute row's store frames;
-  // WriteEdge writes the requested halves of an INPUT edge (the forward 'i/'
-  // row keyed by the subject, the reverse 'o/' row keyed by the ancestor).
-  // Both append to the feed when `feed` is set, and then call the kind's
-  // Mirror* path, which appends the row to its slot and keeps the
-  // bookkeeping (the keying stamps, the node's name, by_name_, by_type_,
-  // the row counts). Deserialize calls only the Mirror* paths, so a restore
-  // writes no store frame and feeds nothing.
+  // Shared row paths. WriteAttr writes an attribute row; WriteEdge writes
+  // the requested halves of an INPUT edge (the forward 'i/' row keyed by the
+  // subject, the reverse 'o/' row keyed by the ancestor). Each appends to
+  // the feed when `feed` is set, counts the row in the store sizes, appends
+  // it to its slot and keeps the bookkeeping (the keying stamps, the node's
+  // name, by_name_, by_type_, the row counts).
   void WriteAttr(Slot slot, const core::ObjectRef& subject,
                  const core::Record& record, bool feed);
   void WriteEdge(Slot subject_slot, Slot ancestor_slot,
@@ -287,19 +277,23 @@ class ProvDb {
   bool InsertMissing(const lasagna::LogEntry& entry, bool feed);
   void Feed(FeedRow::Kind kind, const core::ObjectRef& key,
             const core::ObjectRef& other);
-  void MirrorAttr(Slot slot, core::PnodeId pnode, core::Record record);
-  void MirrorEdge(Slot subject_slot, Slot ancestor_slot,
-                  const core::ObjectRef& subject,
-                  const core::ObjectRef& ancestor, bool forward, bool reverse);
 
-  KvStore records_{/*segment_bytes=*/4u << 20};
-  KvStore indexes_{/*segment_bytes=*/4u << 20};
+  KvStoreSize records_;
+  KvStoreSize indexes_;
 
-  // The mirror. Ordered by pnode, so a range's nodes are adjacent and its
-  // versions come out in ObjectRef order.
+  // Ordered by pnode, so a range's nodes are adjacent and its versions come
+  // out in ObjectRef order.
   std::map<core::PnodeId, Node> nodes_;
-  std::map<std::string, std::set<core::PnodeId>> by_name_;
-  std::map<std::string, std::set<core::PnodeId>> by_type_;
+  // The pnodes with a NAME (TYPE) row of one text, and how many values the
+  // index store holds under the text's n/ (t/) key: one per such row
+  // written, reset to one per surviving pnode when DeleteRange prunes the
+  // entry.
+  struct Members {
+    std::set<core::PnodeId> pnodes;
+    uint64_t values = 0;
+  };
+  std::map<std::string, Members> by_name_;
+  std::map<std::string, Members> by_type_;
   uint64_t record_count_ = 0;
   uint64_t edge_count_ = 0;
   uint64_t stamp_ = 0;  // the sequence's last number

@@ -10,6 +10,8 @@
 #include "src/cluster/federated_source.h"
 #include "src/cluster/ingest.h"
 #include "src/pql/eval.h"
+#include "src/pql/provdb_source.h"
+#include "src/waldo/provdb.h"
 
 namespace pass::cluster {
 namespace {
@@ -154,6 +156,45 @@ TEST(ClusterTest, FederatedAncestryQueryMatchesMergedSingleDb) {
   EXPECT_EQ(CheckEquivalent(cluster, kQueries).ToString(), "OK");
   for (const std::string& query : kQueries) {
     EXPECT_FALSE(MergedRows(cluster, query)->empty()) << query;
+  }
+}
+
+// A portal labels a node as the merged database does: its latest NAME, else
+// the first value of its `type` set, else "?". The unnamed nodes on the
+// portal's shard and on the remote one carry a TYPE row PROC and an
+// annotation type=A, which answers `type` too, in either order.
+TEST(ClusterTest, PortalLabelsNodesAsTheMergedDatabaseDoes) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  auto refs = BuildCrossShardChain(&cluster, 2);
+  ASSERT_TRUE(cluster.Sync().ok());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    waldo::ProvDb& owner = cluster.shard_db(cluster.OwnerOf(refs[i].pnode));
+    core::ObjectRef typed{refs[i].pnode + 100, 0};
+    core::Record type = core::Record::Type("PROC");
+    core::Record annotation =
+        core::Record::Annotation("type", std::string("A"));
+    owner.Insert({typed, i == 0 ? type : annotation});
+    owner.Insert({typed, i == 0 ? annotation : type});
+    owner.Insert({{refs[i].pnode + 101, 0},
+                  core::Record::Annotation("step", int64_t{1})});
+  }
+  waldo::ProvDb merged;
+  cluster.MergeInto(&merged);
+  pql::ProvDbSource single(&merged);
+  FederatedSource portal = cluster.Source(/*portal_shard=*/0);
+  const std::string query = "select O from Provenance.object as O";
+  auto want = pql::Engine(&single).Run(query);
+  auto got = pql::Engine(&portal).Run(query);
+  ASSERT_TRUE(want.ok() && got.ok());
+  std::string table = want->ToTable(&single);
+  EXPECT_EQ(got->ToTable(&portal), table);
+  for (const core::ObjectRef& ref : refs) {
+    for (const auto& [offset, label] :
+         {std::pair{100, "A"}, std::pair{101, "?"}}) {
+      pql::Node node{ref.pnode + offset, 0};
+      std::string line = std::string(label) + " [" + node.ToString() + "]";
+      EXPECT_NE(table.find(line), std::string::npos) << line;
+    }
   }
 }
 
