@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): analyzer throughput, record codec,
 // the byte kernels (MD5, CRC32, the workload name generator), log framing,
 // ProvDb's write path and bulk reads, the portal's root sets and attribute
-// reads, and PQL query latency.
+// reads, the standing tier's Refresh, and PQL query latency.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/federated_source.h"
+#include "src/cluster/standing.h"
 #include "src/core/analyzer.h"
 #include "src/lasagna/log_format.h"
 #include "src/pql/eval.h"
@@ -21,6 +22,7 @@
 #include "src/util/md5.h"
 #include "src/util/rng.h"
 #include "src/waldo/provdb.h"
+#include "src/workloads/audit_stream.h"
 
 namespace {
 
@@ -253,6 +255,60 @@ void BM_FederatedAttributeMany(benchmark::State& state) {
           1, stats.cache_hits + stats.cache_misses));
 }
 BENCHMARK(BM_FederatedAttributeMany)->Arg(1 << 20)->Arg(64 << 10);
+
+// One standing Refresh on a 4-shard cluster fed by fig11's audit stream
+// (its stream options at rate 2 and seed 17) with fig11's three-query mix
+// registered and seeded. Each iteration streams one round with timing
+// paused, then times the Refresh that reads it. The fixed iteration count
+// makes every run reach the same history size.
+void BM_StandingRefresh(benchmark::State& state) {
+  cluster::ClusterOptions options;
+  options.shards = 4;
+  options.seed = 17;
+  options.ingest_batch_records = 16;
+  cluster::ClusterCoordinator cluster(options);
+  workloads::AuditStreamOptions stream_options;
+  stream_options.processes_per_shard = 2;
+  stream_options.reads_per_process = 1;
+  stream_options.taint_sources = 1;
+  stream_options.taint_fraction = 0.4;
+  stream_options.cross_shard_fraction = 0.5;
+  stream_options.seed = 17;
+  workloads::AuditStreamGenerator stream(&cluster, stream_options);
+  if (!stream.SeedTaintSources().ok()) {
+    std::abort();
+  }
+  cluster::StandingQueryTier tier(&cluster);
+  for (const std::string& text :
+       {workloads::AuditStreamGenerator::TaintDescendantQuery(),
+        workloads::AuditStreamGenerator::TaintAncestryQuery(),
+        std::string("select F.name from Provenance.file as F "
+                    "where F.taint = 1")}) {
+    if (!tier.Register(text).ok()) {
+      std::abort();
+    }
+  }
+  if (!stream.StreamRound().ok() || !tier.Refresh().ok()) {
+    std::abort();  // the seed evaluations stay outside the timed loop
+  }
+  uint64_t calls = tier.stats().source_calls;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (!stream.StreamRound().ok()) {
+      std::abort();
+    }
+    state.ResumeTiming();
+    auto notes = tier.Refresh();
+    if (!notes.ok()) {
+      std::abort();
+    }
+    benchmark::DoNotOptimize(notes);
+  }
+  state.counters["source_calls"] = benchmark::Counter(
+      static_cast<double>(tier.stats().source_calls - calls),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_StandingRefresh)->Iterations(48);
 
 void BM_PqlAncestryQuery(benchmark::State& state) {
   // A chain of `range` object versions; query the full closure.

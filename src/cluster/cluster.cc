@@ -609,7 +609,7 @@ FrontierDelta ClusterCoordinator::FrontierSince(const FrontierCursor& cursor,
       auto [it, added] = entries.try_emplace(pnode);
       if (added) {
         it->second = FrontierEntry{pnode, db.LatestVersionOf(pnode), shard,
-                                   db.TypeOf(pnode), false};
+                                   db.TypesOf(pnode), false};
         ++rows;
       }
       return &it->second;

@@ -135,7 +135,8 @@ struct FrontierEntry {
   core::PnodeId pnode = 0;
   core::Version version = 0;  // latest known at publication time
   int shard = -1;             // current owner per the ShardMap
-  std::string type;           // TYPE attribute ("FILE", "PROC", ...)
+  // Every TYPE text of the pnode ("FILE", "PROC", ...), ascending.
+  std::vector<std::string> types;
   bool attrs = false;         // gained attribute rows since the cursor
 };
 

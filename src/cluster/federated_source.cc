@@ -117,9 +117,18 @@ void FederatedSource::LinkNewest(CacheSlot* slot) const {
 }
 
 uint32_t FederatedSource::InternAttr(const std::string& attr) const {
-  auto [it, inserted] =
-      attr_ids_.try_emplace(attr, static_cast<uint32_t>(attr_ids_.size()) + 1);
-  return it->second;
+  auto lowered = [&](const std::string& lower) {
+    return std::equal(lower.begin(), lower.end(), attr.begin(), attr.end(),
+                      [](char l, char a) {
+                        return l == static_cast<char>(std::tolower(
+                                        static_cast<unsigned char>(a)));
+                      });
+  };
+  auto it = std::find_if(attr_names_.begin(), attr_names_.end(), lowered);
+  if (it == attr_names_.end()) {
+    it = attr_names_.insert(it, Lower(attr));
+  }
+  return static_cast<uint32_t>(it - attr_names_.begin()) + 1;
 }
 
 const FederatedSource::CacheEntry* FederatedSource::CacheLookup(
@@ -235,8 +244,8 @@ std::vector<pql::ValueSet> FederatedSource::AttributeMany(
   std::vector<pql::ValueSet> out(nodes.size());
   sim::Nanos hop_start = obs_->clock()->now();
   obs::ScopedSpan hop_span(Tracer(), "query.attr_hop");
-  std::string want = Lower(attr);
-  uint32_t attr_id = InternAttr(want);  // once per hop, never per node
+  uint32_t attr_id = InternAttr(attr);  // once per hop, never per node
+  const std::string& want = attr_names_[attr_id - 1];  // lowercase
   bool virtual_pnode = want == "pnode";
   bool virtual_version = want == "version";
   // Virtual attributes answer immediately; cached remote ones fill from the

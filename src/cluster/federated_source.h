@@ -43,7 +43,6 @@
 // every shard's entries.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -164,7 +163,8 @@ class FederatedSource : public pql::GraphSource {
   // series.
   void RecordHop(obs::Histogram* hop_ns, sim::Nanos start_ns) const;
 
-  // Small-id intern table for attribute names; allocation happens only the
+  // Small-id intern table for attribute names, matched ignoring ASCII
+  // case; ids count from 1 in first-seen order. Allocation happens only the
   // first time a name is seen, never on a probe.
   uint32_t InternAttr(const std::string& attr) const;
   // The cached entry for `key` if it was filled from `owner` (the pnode's
@@ -197,7 +197,8 @@ class FederatedSource : public pql::GraphSource {
   // The ends of the LRU order (null when the cache is empty).
   mutable CacheSlot* newest_ = nullptr;
   mutable CacheSlot* oldest_ = nullptr;
-  mutable std::map<std::string, uint32_t> attr_ids_;  // interned attr names
+  // Interned attribute names, lowercase: id i names attr_names_[i - 1].
+  mutable std::vector<std::string> attr_names_;
   mutable size_t cache_bytes_ = 0;
 };
 

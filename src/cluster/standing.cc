@@ -12,7 +12,7 @@ namespace pass::cluster {
 // The view an incremental evaluation reads. RootSet answers from the
 // tier's frontier catalog, filtered to `roots` — no scatter-gather over the
 // shards — while every other operation flows through the tier's metered
-// federated source. The catalog's (version, type) entries are maintained
+// federated source. The catalog's (version, types) entries are maintained
 // from frontier deltas, so the restricted root set is exactly what
 // FederatedSource::RootSet would return for the same pnodes.
 //
@@ -48,7 +48,7 @@ class RestrictedRootSource : public pql::GraphSource {
       if (entry == nullptr) {
         continue;  // never ingested: cannot be a root
       }
-      if (!type.empty() && entry->type != type) {
+      if (!entry->InSet(type)) {
         continue;
       }
       out.push_back(pql::Node{pnode, entry->version});
@@ -135,6 +135,28 @@ bool ReadsOnlyAttributes(const pql::Expr& expr,
              ReadsOnlyAttributes(*expr.rhs, variables, source);
     default:
       return false;  // not, exists, aggregates and subqueries
+  }
+}
+
+// Prunes the top-level `and`-conjuncts of `*expr` that read anything but
+// literals and attributes of `variables`, keeping the others in written
+// order; null when none is left.
+void KeepConjunctsReading(std::unique_ptr<pql::Expr>* expr,
+                          const std::set<std::string>& variables,
+                          const pql::GraphSource* source) {
+  pql::Expr& conjunction = **expr;
+  if (conjunction.kind != pql::Expr::Kind::kBinary ||
+      conjunction.op != pql::BinOp::kAnd) {
+    if (!ReadsOnlyAttributes(conjunction, variables, source)) {
+      expr->reset();
+    }
+    return;
+  }
+  KeepConjunctsReading(&conjunction.lhs, variables, source);
+  KeepConjunctsReading(&conjunction.rhs, variables, source);
+  if (conjunction.lhs == nullptr || conjunction.rhs == nullptr) {
+    *expr = std::move(conjunction.lhs != nullptr ? conjunction.lhs
+                                                 : conjunction.rhs);
   }
 }
 
@@ -265,6 +287,37 @@ const pql::PathStep* StandingQueryTier::ExtensionStep(
   return &step;
 }
 
+Result<std::unique_ptr<pql::Query>> StandingQueryTier::RootFilter(
+    const StandingQuery& query, const pql::GraphSource* source) {
+  const pql::Query& ast = *query.ast;
+  if (!query.shape.incremental || ast.union_with != nullptr ||
+      ast.froms.size() < 2 || ast.where == nullptr) {
+    return std::unique_ptr<pql::Query>();
+  }
+  const pql::FromItem& root = ast.froms.front();
+  if (!root.path.from_provenance || !root.path.steps.empty() ||
+      std::any_of(ast.froms.begin() + 1, ast.froms.end(),
+                  [&](const pql::FromItem& item) {
+                    return item.variable == root.variable;
+                  })) {
+    return std::unique_ptr<pql::Query>();
+  }
+  // Prune a second parse down to `select R from Provenance.<set> as R
+  // where <the root conjuncts>`.
+  PASS_ASSIGN_OR_RETURN(std::unique_ptr<pql::Query> filter,
+                        pql::ParseQuery(query.text));
+  KeepConjunctsReading(&filter->where, {root.variable}, source);
+  if (filter->where == nullptr) {
+    return std::unique_ptr<pql::Query>();
+  }
+  filter->froms.resize(1);
+  filter->selects.clear();
+  pql::SelectItem& item = filter->selects.emplace_back();
+  item.expr.kind = pql::Expr::Kind::kPath;
+  item.expr.path.variable = root.variable;
+  return filter;
+}
+
 // ---- Registration -----------------------------------------------------------
 
 Result<uint64_t> StandingQueryTier::Register(std::string_view text,
@@ -285,6 +338,7 @@ Result<uint64_t> StandingQueryTier::Register(std::string_view text,
   if (query->shape.incremental) {
     query->shape.step = ExtensionStep(*query->ast, &source_);
   }
+  PASS_ASSIGN_OR_RETURN(query->filter, RootFilter(*query, &source_));
   uint64_t id = query->id;
   queries_.emplace(id, std::move(query));
   return id;
@@ -311,6 +365,14 @@ Result<bool> StandingQueryTier::IsExtensible(uint64_t id) const {
     return NotFound("no such standing query");
   }
   return it->second->shape.step != nullptr;
+}
+
+Result<bool> StandingQueryTier::IsRootFiltered(uint64_t id) const {
+  auto it = queries_.find(id);
+  if (it == queries_.end()) {
+    return NotFound("no such standing query");
+  }
+  return it->second->filter != nullptr;
 }
 
 // ---- Refresh ----------------------------------------------------------------
@@ -457,16 +519,27 @@ Status StandingQueryTier::Extend(StandingQuery* query,
   }
 
   // The walked nodes that are the query's roots now: a catalogued pnode of
-  // the root set at its latest version, identity unchanged.
+  // the root set at its latest version, identity unchanged. Only the ones
+  // that pass the root filter go on.
   const std::string& set = query->ast->froms.front().path.root_set;
   std::string type = set == "object" ? "" : pql::RootSetTypeName(set);
-  std::vector<std::pair<pql::Node, std::vector<pql::Node>>> extended;
-  std::vector<size_t> seen_from(slots.size(), slots.size());
-  for (const auto& [node, root] : slot_of) {
+  std::vector<size_t> candidates;
+  std::set<core::PnodeId> roots;
+  for (const auto& [node, id] : slot_of) {
     const CatalogEntry* entry = Catalogued(node.pnode);
     if (entry == nullptr || entry->version != node.version ||
-        (!type.empty() && entry->type != type) ||
-        replaced.count(node.pnode) != 0) {
+        !entry->InSet(type) || replaced.count(node.pnode) != 0) {
+      continue;
+    }
+    candidates.push_back(id);
+    roots.insert(node.pnode);
+  }
+  PASS_RETURN_IF_ERROR(FilterRoots(query, &roots));
+  std::vector<std::pair<pql::Node, std::vector<pql::Node>>> extended;
+  std::vector<size_t> seen_from(slots.size(), slots.size());
+  for (size_t root : candidates) {
+    const pql::Node& node = slots[root].node;
+    if (roots.count(node.pnode) == 0) {
       continue;
     }
     // Everything the root reaches in the walked graph: a changed node
@@ -506,7 +579,8 @@ Status StandingQueryTier::Extend(StandingQuery* query,
   for (const auto& [root, heads] : extended) {
     std::set<core::PnodeId> alone = {root.pnode};
     RestrictedRootSource view(&meter_, this, &alone, root, &step, &heads);
-    PASS_ASSIGN_OR_RETURN(pql::QueryResult result, Evaluate(*query, &view));
+    PASS_ASSIGN_OR_RETURN(pql::QueryResult result,
+                          Evaluate(*query->ast, query->options, &view));
     served_rows_ += view.emitted();
     Insert(query, std::move(result));
   }
@@ -530,11 +604,12 @@ Status StandingQueryTier::Update(StandingQuery* query,
 }
 
 Result<pql::QueryResult> StandingQueryTier::Evaluate(
-    const StandingQuery& query, const pql::GraphSource* source) {
-  pql::QueryOptions options = query.options;
-  options.attribute_roots = true;
-  pql::Engine engine(source, options);
-  return engine.Evaluate(*query.ast, options);
+    const pql::Query& ast, const pql::QueryOptions& options,
+    const pql::GraphSource* source) {
+  pql::QueryOptions attributed = options;
+  attributed.attribute_roots = true;
+  pql::Engine engine(source, attributed);
+  return engine.Evaluate(ast, attributed);
 }
 
 void StandingQueryTier::Insert(StandingQuery* query, pql::QueryResult result) {
@@ -571,23 +646,57 @@ void StandingQueryTier::EraseRoot(StandingQuery* query, core::PnodeId root) {
   query->keys_by_root.erase(it);
 }
 
+Status StandingQueryTier::FilterRoots(StandingQuery* query,
+                                      std::set<core::PnodeId>* roots) {
+  if (query->filter == nullptr || roots->empty()) {
+    return Status::Ok();
+  }
+  RestrictedRootSource restricted(&meter_, this, roots);
+  PASS_ASSIGN_OR_RETURN(pql::QueryResult result,
+                        Evaluate(*query->filter, query->options, &restricted));
+  served_rows_ += restricted.emitted();
+  std::set<core::PnodeId> passing;
+  for (const pql::Node& root : result.roots) {
+    passing.insert(root.pnode);
+  }
+  // Exact whatever the root stored before: a failing root has no row now.
+  for (core::PnodeId root : *roots) {
+    if (passing.count(root) == 0) {
+      EraseRoot(query, root);
+    }
+  }
+  *roots = std::move(passing);
+  return Status::Ok();
+}
+
 Status StandingQueryTier::Replace(StandingQuery* query,
                                   const std::set<core::PnodeId>* roots) {
-  // Evaluate first, so a failed evaluation leaves the stored rows alone.
-  // Erasing and re-inserting is idempotent: re-running the same delta after
-  // a crash re-derives the same rows.
+  // Evaluate first, so a failed evaluation leaves the stored rows alone
+  // (the root filter's erases excepted, which are exact). Erasing and
+  // re-inserting is idempotent: re-running the same delta after a crash
+  // re-derives the same rows.
   pql::QueryResult result;
   if (roots == nullptr) {
     // Full evaluation: real (scatter-gather) root sets.
-    PASS_ASSIGN_OR_RETURN(result, Evaluate(*query, &meter_));
+    PASS_ASSIGN_OR_RETURN(result,
+                          Evaluate(*query->ast, query->options, &meter_));
     while (!query->keys_by_root.empty()) {
       EraseRoot(query, query->keys_by_root.begin()->first);
     }
   } else {
-    RestrictedRootSource restricted(&meter_, this, roots);
-    PASS_ASSIGN_OR_RETURN(result, Evaluate(*query, &restricted));
+    // Every root's rows go: the filter erases the failing roots', and the
+    // passing roots' are replaced below. With no root passing nothing is
+    // evaluated, and the query's columns stay as they are.
+    std::set<core::PnodeId> passing = *roots;
+    PASS_RETURN_IF_ERROR(FilterRoots(query, &passing));
+    if (passing.empty()) {
+      return Status::Ok();
+    }
+    RestrictedRootSource restricted(&meter_, this, &passing);
+    PASS_ASSIGN_OR_RETURN(
+        result, Evaluate(*query->ast, query->options, &restricted));
     served_rows_ += restricted.emitted();
-    for (core::PnodeId root : *roots) {
+    for (core::PnodeId root : passing) {
       EraseRoot(query, root);
     }
   }
@@ -610,13 +719,13 @@ Result<std::vector<StandingNotification>> StandingQueryTier::Refresh() {
   for (const FrontierEntry& entry : delta.entries) {
     auto it = catalog_.find(entry.pnode);
     if (it == catalog_.end() || it->second.version != entry.version ||
-        it->second.type != entry.type) {
+        it->second.types != entry.types) {
       changes.reidentified.insert(entry.pnode);
     }
     if (entry.attrs && it != catalog_.end()) {
       changes.attributed.push_back(&entry);
     }
-    updates_[entry.pnode] = CatalogEntry{entry.version, entry.type};
+    updates_[entry.pnode] = CatalogEntry{entry.version, entry.types};
   }
 
   Cost start = Spent();

@@ -7,18 +7,22 @@
 // Each Refresh() reads what the rows written since the tier's cursor
 // changed (ClusterCoordinator::FrontierSince over every shard's row feed):
 // the new INPUT edges, the pnodes that gained attribute rows, and a catalog
-// entry (latest version, TYPE, owner) for every pnode keying a new row.
-// Stored rows are keyed by the root binding that produced them
-// (QueryOptions::attribute_roots), and each registered query brings its
-// rows up to date one of three ways.
+// entry (latest version, every TYPE text, owner) for every pnode keying a
+// new row; as in a from-scratch RootSet, a pnode is a member of the root
+// set of each of its TYPE texts. Stored rows are keyed by the root binding
+// that produced them (QueryOptions::attribute_roots), and each registered
+// query brings its rows up to date one of three ways. The first two run
+// the root filter (below) over their candidate roots before they walk or
+// evaluate anything from them.
 //
 //   * Extension (semi-naive). A query whose FROM list is a root set plus
 //     one `*` or `+` link step from it, and whose where/select read only
 //     literals and attributes of those two variables (no not, exists,
 //     aggregate, subquery or union), is extended by the delta. A root R
-//     that reaches the tail of a new edge along the step is evaluated once,
-//     alone, through a view whose step out of R returns only the heads of
-//     the new edges R reaches; R's new rows are inserted and none erased.
+//     that reaches the tail of a new edge along the step and passes the
+//     root filter is evaluated once, alone, through a view whose step out
+//     of R returns only the heads of the new edges R reaches; R's new rows
+//     are inserted and none erased.
 //     Every binding the view finds is real, and every new binding's path
 //     has a last new edge whose head the view returns, so the view finds
 //     them all. Provenance only grows (the analyzer adds versions instead
@@ -26,15 +30,30 @@
 //     logical graph), so nothing an extended root stored goes stale.
 //   * Replace. Roots an extension cannot cover are erased and re-evaluated
 //     through a root-restricted view: for an extensible query, the roots
-//     whose identity changed (a new pnode, a new latest version or a new
-//     TYPE) and the roots that reach a pnode which existed before and
-//     gained attribute rows (AttributeMany reads every version of a pnode,
-//     so such rows can change old bindings); for any other query, every
-//     root that reaches a pnode keying a new row along the link directions
-//     the query uses.
+//     whose identity changed (a new pnode, a new latest version or another
+//     set of TYPE texts) and the roots that reach a pnode which existed
+//     before and gained attribute rows (AttributeMany reads every version
+//     of a pnode, so such rows can change old bindings); for any other
+//     query, every root that reaches a pnode keying a new row along the
+//     link directions the query uses.
 //   * Full re-evaluation, for shapes root restriction cannot cover: a
 //     second Provenance-rooted FROM, a subquery, a Provenance-rooted path
 //     in where/select (StandingStats::full_evals counts them).
+//
+// The root filter. A root conjunct is a top-level `and`-conjunct of where
+// that reads only literals and attributes of the first FROM variable R.
+// When R is bound to a bare Provenance.<set> that no later FROM item
+// rebinds, at least one later item follows, the query has no union and it
+// has root conjuncts, Register keeps the filter
+//   select R from Provenance.<set> as R where <the root conjuncts>
+// (in written order). Extension and replace evaluate it once over all of
+// their candidate roots, erase the stored rows of every root that fails,
+// and go on with the passing roots alone. Under Lorel's existential
+// semantics a root conjunct has one value for all of a root's bindings, so
+// a failing root contributes no row and the result stays exactly the
+// from-scratch answer; the taint-descendant watchlist thus walks the new
+// closures of its few taint sources only. Seed and full evaluations do not
+// filter.
 //
 // Notifications come from the merges themselves: a row whose last
 // contributing root goes, or whose first arrives, is remembered with
@@ -60,8 +79,10 @@
 // fails wherever a from-scratch run would; a replace evaluation (the
 // replaced roots' whole closures) or an extension evaluation (one root's
 // closure beyond its new heads) can stay inside limits that a
-// from-scratch run of the whole query exceeds. A failed evaluation fails
-// the Refresh() and commits nothing. The walk back from the delta that
+// from-scratch run of the whole query exceeds. A root filter binds only
+// candidate roots, each of which a from-scratch run binds too, so it
+// fails only where that run would. A failed evaluation fails the
+// Refresh() and commits nothing. The walk back from the delta that
 // finds the affected roots is bounded by max_closure_nodes too; past it
 // the query replaces every catalogued root that refresh
 // (StandingStats::walk_overflows).
@@ -72,6 +93,7 @@
 // a routing epoch would never observe new data, so kPinnedEpoch is
 // rejected.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -203,6 +225,8 @@ class StandingQueryTier {
   Result<bool> IsIncremental(uint64_t id) const;
   // Whether `id` is extended by the delta (false: replaced or re-evaluated).
   Result<bool> IsExtensible(uint64_t id) const;
+  // Whether `id` has a root filter (see the header comment).
+  Result<bool> IsRootFiltered(uint64_t id) const;
 
   const StandingStats& stats() const { return stats_; }
   const FederatedSource& source() const { return source_; }
@@ -212,7 +236,12 @@ class StandingQueryTier {
 
   struct CatalogEntry {
     core::Version version = 0;  // latest, per the owner, at last sighting
-    std::string type;
+    std::vector<std::string> types;  // every TYPE text, ascending
+    // Whether the pnode is in the root set of TYPE `type` ("" for object).
+    bool InSet(const std::string& type) const {
+      return type.empty() ||
+             std::binary_search(types.begin(), types.end(), type);
+    }
   };
 
   // What the Register-time AST walk decided.
@@ -239,6 +268,9 @@ class StandingQueryTier {
     std::unique_ptr<pql::Query> ast;
     pql::QueryOptions options;
     QueryShape shape;
+    // The root filter (see the header comment); null when it does not
+    // apply.
+    std::unique_ptr<pql::Query> filter;
     bool seeded = false;
     std::vector<std::string> columns;
     std::map<RowKey, StoredRow> rows;  // the distinct rows present
@@ -276,6 +308,10 @@ class StandingQueryTier {
   // null.
   static const pql::PathStep* ExtensionStep(const pql::Query& query,
                                             const pql::GraphSource* source);
+  // The root filter of an analyzed query, pruned from a second parse of
+  // its text; null when it does not apply.
+  static Result<std::unique_ptr<pql::Query>> RootFilter(
+      const StandingQuery& query, const pql::GraphSource* source);
 
   Cost Spent() const;
   // The catalog as this refresh sees it: the delta's entries over the
@@ -295,10 +331,16 @@ class StandingQueryTier {
   std::set<core::PnodeId> AffectedRoots(
       const StandingQuery& query, const std::vector<FrontierEntry>& delta);
 
-  // Evaluate `query` over `roots` (restricted root sets; every root when
-  // null) and replace those roots' rows with the result.
+  // Evaluate `query` over `roots` (restricted root sets, through the root
+  // filter; every root when null) and replace those roots' rows with the
+  // result.
   Status Replace(StandingQuery* query, const std::set<core::PnodeId>* roots);
-  static Result<pql::QueryResult> Evaluate(const StandingQuery& query,
+  // Evaluate the query's root filter once over `roots`, erase the rows of
+  // every root that fails it and leave the passing roots in `roots`. Does
+  // nothing for a query without a filter.
+  Status FilterRoots(StandingQuery* query, std::set<core::PnodeId>* roots);
+  static Result<pql::QueryResult> Evaluate(const pql::Query& ast,
+                                           const pql::QueryOptions& options,
                                            const pql::GraphSource* source);
   // Store a root-attributed result's rows (erasing nothing), and erase
   // every row one root contributed; both record what they change in

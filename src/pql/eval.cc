@@ -4,6 +4,7 @@
 #include <cctype>
 #include <set>
 #include <span>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/pql/parser.h"
@@ -318,7 +319,7 @@ Result<std::vector<Env>> Evaluator::WalkShared(const WherePlan& plan,
     bool marked = false;
   };
   std::vector<Slot> slots;
-  std::map<Node, size_t> slot_of;
+  std::unordered_map<Node, size_t, NodeHash> slot_of;
   auto slot = [&](const Node& node) {
     auto [it, added] = slot_of.emplace(node, slots.size());
     if (added) {
@@ -393,14 +394,17 @@ Result<std::vector<Env>> Evaluator::WalkShared(const WherePlan& plan,
   // queued when it becomes one (a `+` start may be queued again then, but
   // is not expanded again).
   std::vector<size_t> frontier = starts_of(bindings);
-  for (size_t id : frontier) {
-    slots[id].member = !plus;
+  std::vector<size_t> members;
+  if (!plus) {
+    for (size_t id : frontier) {
+      slots[id].member = true;
+    }
+    members = frontier;
   }
-  size_t members = plus ? 0 : frontier.size();
   auto overflow = [&] {
     return Unavailable("closure expansion exceeds limit");
   };
-  if (members > limits_.max_closure_nodes) {
+  if (members.size() > limits_.max_closure_nodes) {
     return overflow();
   }
   while (!frontier.empty()) {
@@ -412,7 +416,8 @@ Result<std::vector<Env>> Evaluator::WalkShared(const WherePlan& plan,
           continue;
         }
         slots[next].member = true;
-        if (++members > limits_.max_closure_nodes) {
+        members.push_back(next);
+        if (members.size() > limits_.max_closure_nodes) {
           return overflow();
         }
         next_frontier.push_back(next);
@@ -423,14 +428,14 @@ Result<std::vector<Env>> Evaluator::WalkShared(const WherePlan& plan,
 
   // Each member is tested once, in node order, the conjuncts in written
   // order.
+  std::sort(members.begin(), members.end(), [&](size_t a, size_t b) {
+    return slots[a].node < slots[b].node;
+  });
   Env env{{item.variable, Node{}}};
   Node& bound = env.begin()->second;
   std::vector<size_t> satisfying;
-  for (const auto& [node, id] : slot_of) {
-    if (!slots[id].member) {
-      continue;
-    }
-    bound = node;
+  for (size_t id : members) {
+    bound = slots[id].node;
     bool pass = true;
     for (size_t i = plan.tests_begin; pass && i < plan.tests_end; ++i) {
       PASS_ASSIGN_OR_RETURN(pass, Truthy(*plan.filters[i], env));

@@ -404,14 +404,15 @@ std::vector<core::PnodeId> ProvDb::AllPnodes() const {
   return out;
 }
 
-std::string ProvDb::TypeOf(core::PnodeId pnode) const {
+std::vector<std::string> ProvDb::TypesOf(core::PnodeId pnode) const {
   // by_type_ holds a handful of types; membership per type is O(log n).
+  std::vector<std::string> types;
   for (const auto& [type, members] : by_type_) {
     if (members.pnodes.count(pnode) != 0) {
-      return type;
+      types.push_back(type);
     }
   }
-  return std::string();
+  return types;
 }
 
 bool ProvDb::InsertUnique(const lasagna::LogEntry& entry) {

@@ -173,8 +173,9 @@ class ProvDb {
   // queries).
   uint64_t stamp() const { return stamp_; }
 
-  // Latest TYPE attribute value of `pnode` ("" when untyped).
-  std::string TypeOf(core::PnodeId pnode) const;
+  // Every TYPE text whose index holds `pnode`, ascending (empty when
+  // untyped): a pnode is a member of each of those root sets.
+  std::vector<std::string> TypesOf(core::PnodeId pnode) const;
 
   // ---- Row feed (standing-query plane) --------------------------------------
   // Every row Insert or InsertUnique writes gets the next sequence number,

@@ -522,6 +522,35 @@ TEST(StandingExtensionTest, NewEdgeHeadBringsItsOldDescendants) {
             (std::set<std::string>{"downstream|", "tainted|"}));
 }
 
+// A pnode with two TYPE texts is a member of both root sets, as in a
+// from-scratch RootSet. The analyzer types /f as FILE; an application then
+// discloses a TYPE PROC row on /f and an input edge from it to a taint
+// source, so /f joins the ancestry watchlist as a process.
+TEST(StandingExtensionTest, PnodeWithTwoTypesIsInBothRootSets) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  RunProcess(&cluster, 0, "seeder", {}, "/t");
+  Disclose(&cluster, 0, "annotator", "/t", {Taint()});
+  RunProcess(&cluster, 0, "writer", {}, "/f");
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      AuditStreamGenerator::TaintAncestryQuery()};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "before the disclosure");
+  EXPECT_TRUE(StandingAnswer(tier, ids[0]).empty());
+
+  auto source = cluster.machine(0).pass()->RefOfPath("/t");
+  ASSERT_TRUE(source.ok());
+  Disclose(&cluster, 0, "app", "/f",
+           {core::Record::Type("PROC"), core::Record::Input(*source)});
+  ASSERT_TRUE(cluster.Sync().ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the disclosure");
+  EXPECT_EQ(StandingAnswer(tier, ids[0]), std::set<std::string>{"/f|"});
+}
+
 // `+` closures, in both directions, over the audit stream.
 TEST(StandingExtensionTest, PlusClosuresStayFresh) {
   ClusterCoordinator cluster(SmallCluster(2));
@@ -693,6 +722,183 @@ TEST(StandingExtensionTest, LongEpisodeRowsFollowTheDelta) {
   ASSERT_GT(early, 0u);
   // Both windows are 50 rounds long, so the means compare as the sums do.
   EXPECT_LE(late, 2 * early) << "early " << early << ", late " << late;
+}
+
+// ---- Root filter: the root conjuncts drop roots before any walk -----------
+
+// Each filtered shape, and one with no root conjunct, equals a from-scratch
+// evaluation after every Refresh(), across a migration and a crash +
+// Recover().
+TEST(StandingRootFilterTest, ShapesStayFreshAcrossMigrationAndCrash) {
+  ClusterCoordinator cluster(SmallCluster(3));
+  AuditStreamGenerator stream(&cluster, SmallStream());
+  ASSERT_TRUE(stream.SeedTaintSources().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      // The root conjunct written second.
+      "select D.name from Provenance.file as T T.~input* as D "
+      "where D.type = \"PROC\" and T.taint = 1",
+      // A root-only disjunction, which an untainted file passes.
+      "select D.name from Provenance.file as T T.~input* as D "
+      "where (T.taint = 1 or T.name = \"/data/s1-0\") and D.type = \"PROC\"",
+      // A `+` closure.
+      "select D.name from Provenance.file as T T.~input+ as D "
+      "where T.taint = 1 and D.type = \"PROC\"",
+      // The `not` shape, on the replace path.
+      "select D.name from Provenance.file as T T.~input* as D "
+      "where T.taint = 1 and not (D.type = \"FILE\")",
+      // No root conjunct, so no filter.
+      "select D.name from Provenance.file as T T.~input* as D "
+      "where D.type = \"PROC\""};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(*tier.IsRootFiltered(ids[i]), i + 1 < ids.size()) << texts[i];
+    EXPECT_EQ(*tier.IsExtensible(ids[i]), i != 3) << texts[i];
+  }
+  auto round = [&](const std::string& when) {
+    ASSERT_TRUE(stream.StreamRound().ok()) << when;
+    ASSERT_TRUE(tier.Refresh().ok()) << when;
+    ExpectFresh(&cluster, tier, ids, texts, when);
+  };
+  round("round 0");
+  round("round 1");
+
+  core::PnodeRange range{core::ShardSpace(0).begin,
+                         cluster.machine(0).allocator().peek_next()};
+  ASSERT_TRUE(cluster.MigrateRange(range, 2).ok());
+  round("after the migration");
+
+  cluster.env().CrashAfterOps(6);
+  EXPECT_FALSE(stream.StreamRound().ok());
+  auto recovery = cluster.Recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after recovery");
+  round("after recovery, round 0");
+  round("after recovery, round 1");
+  EXPECT_NE(StandingAnswer(tier, ids[1]), StandingAnswer(tier, ids[0]));
+}
+
+// Source calls of the Refresh that links each of three untainted files to
+// the head of a descendant chain `depth` processes deep. The chains read
+// on shard 1, so shard 0 never sees the heads read, and linking a head
+// does not freeze it into a version with no descendants.
+uint64_t CallsToLinkUntaintedChains(int depth) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  RunProcess(&cluster, 0, "seeder", {}, "/t");
+  Disclose(&cluster, 0, "annotator", "/t", {Taint()});
+  RunProcess(&cluster, 0, "tainted", {"/t"}, "/e");
+  constexpr int kFiles = 3;
+  for (int i = 0; i < kFiles; ++i) {
+    std::string head = "/h" + std::to_string(i);
+    RunProcess(&cluster, 0, "writer", {}, "/u" + std::to_string(i));
+    RunProcess(&cluster, 0, "maker", {}, head);
+    auto head_ref = cluster.machine(0).pass()->RefOfPath(head);
+    EXPECT_TRUE(head_ref.ok());
+    std::string prev = "/c" + std::to_string(i) + "-0";
+    RunProcess(&cluster, 1, "copier", {}, prev);
+    Disclose(&cluster, 1, "linker", prev, {core::Record::Input(*head_ref)});
+    for (int j = 1; j <= depth; ++j) {
+      std::string next = "/c" + std::to_string(i) + "-" + std::to_string(j);
+      RunProcess(&cluster, 1, "stage", {prev}, next);
+      prev = next;
+    }
+  }
+  EXPECT_TRUE(cluster.Sync().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      AuditStreamGenerator::TaintDescendantQuery()};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  EXPECT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "before the links");
+
+  for (int i = 0; i < kFiles; ++i) {
+    auto file = cluster.machine(0).pass()->RefOfPath("/u" + std::to_string(i));
+    EXPECT_TRUE(file.ok());
+    Disclose(&cluster, 0, "linker", "/h" + std::to_string(i),
+             {core::Record::Input(*file)});
+  }
+  EXPECT_TRUE(cluster.Sync().ok());
+  uint64_t before = tier.stats().source_calls;
+  EXPECT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the links");
+  EXPECT_EQ(StandingAnswer(tier, ids[0]), std::set<std::string>{"tainted|"});
+  return tier.stats().source_calls - before;
+}
+
+// New edges bring deep closures within reach of roots that fail the root
+// conjunct. The filter drops those roots before their closures are walked,
+// so the refresh costs the same however deep the closures are.
+TEST(StandingRootFilterTest, RefreshCallsDoNotGrowWithAFailingRootsClosure) {
+  uint64_t shallow = CallsToLinkUntaintedChains(1);
+  uint64_t deep = CallsToLinkUntaintedChains(8);
+  EXPECT_GT(shallow, 0u);
+  EXPECT_EQ(deep, shallow);
+}
+
+// A root whose conjunct stops holding loses the rows it stored. The root
+// file's latest version moves past the one the query names, so the
+// replace path's filter drops it and erases its rows.
+TEST(StandingRootFilterTest, RootFailingTheFilterLosesItsRows) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  RunProcess(&cluster, 1, "seeder", {}, "/t");
+  Disclose(&cluster, 1, "annotator", "/t", {Taint()});
+  RunProcess(&cluster, 1, "reader", {"/t"}, "/r");
+  RunProcess(&cluster, 0, "writer", {}, "/o");
+  ASSERT_TRUE(cluster.Sync().ok());
+  auto tainted = cluster.machine(1).pass()->RefOfPath("/t");
+  ASSERT_TRUE(tainted.ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      "select D.name from Provenance.file as T T.~input* as D "
+      "where T.version = " + std::to_string(tainted->version) +
+      " and T.taint = 1 and D.type = \"PROC\""};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  EXPECT_TRUE(*tier.IsRootFiltered(ids[0]));
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "before the new version");
+  EXPECT_EQ(StandingAnswer(tier, ids[0]), std::set<std::string>{"reader|"});
+
+  core::ObjectRef later{tainted->pnode, tainted->version + 1};
+  Disclose(&cluster, 0, "discloser", "/o", {core::Record::Input(later)});
+  ASSERT_TRUE(cluster.Sync().ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the new version");
+  EXPECT_TRUE(StandingAnswer(tier, ids[0]).empty());
+}
+
+// A replace whose roots all fail the filter evaluates nothing, and the
+// query keeps the columns its seed evaluation gave it.
+TEST(StandingRootFilterTest, ReplaceWithEveryRootFailingKeepsColumns) {
+  ClusterCoordinator cluster(SmallCluster(2));
+  RunProcess(&cluster, 0, "seeder", {}, "/t");
+  Disclose(&cluster, 0, "annotator", "/t", {Taint()});
+  RunProcess(&cluster, 0, "tainted", {"/t"}, "/e");
+  ASSERT_TRUE(cluster.Sync().ok());
+
+  StandingQueryTier tier(&cluster);
+  const std::vector<std::string> texts = {
+      "select D.name from Provenance.file as T T.~input* as D "
+      "where T.taint = 1 and not (D.type = \"FILE\")"};
+  std::vector<uint64_t> ids = RegisterAll(&tier, texts);
+  EXPECT_FALSE(*tier.IsExtensible(ids[0]));
+  EXPECT_TRUE(*tier.IsRootFiltered(ids[0]));
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after the seed");
+
+  // Untainted lineage only: each root the replace path re-evaluates fails.
+  RunProcess(&cluster, 1, "writer", {}, "/u");
+  RunProcess(&cluster, 1, "reader", {"/u"}, "/v");
+  ASSERT_TRUE(cluster.Sync().ok());
+  ASSERT_TRUE(tier.Refresh().ok());
+  ExpectFresh(&cluster, tier, ids, texts, "after untainted lineage");
+  auto result = tier.ResultOf(ids[0]);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->columns, std::vector<std::string>{"D.name"});
+  EXPECT_EQ(StandingAnswer(tier, ids[0]), std::set<std::string>{"tainted|"});
 }
 
 }  // namespace
